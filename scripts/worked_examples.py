@@ -34,7 +34,7 @@ def main():
     for n in range(-1, min(args.h_max, 8) + 1):
         print(f"  q^{n:<3} {mpmath.nstr(z[n], 15)}")
 
-    finf = infinity_indicator(model.conductor, args.h_max)
+    finf = infinity_indicator(model.conductor, args.h_max, args.digits)
     nz = [(e, finf[e]) for e in range(args.h_max + 1) if abs(finf[e]) > mp.mpf("1e-40")]
     print("F^inf:", " + ".join(f"({mpmath.nstr(c, 10)})q^{e}" for e, c in nz))
 

@@ -2,7 +2,7 @@
 
 from .config import PrecisionConfig
 from .curves import EllipticCurveModel, load_registry, get_curve
-from .eisenstein import enumerate_cusps, indicator_basis, infinity_indicator, raw_basis
+from .eisenstein import enumerate_cusps, indicator_basis, infinity_indicator
 from .lattice import Lattice, build_lattice, compute_periods, eisenstein_numbers
 from .mockform import zhat_plus, eta_quotient, q_derivative
 from .newform import an_coefficients, ap_point_count, eichler_integral
@@ -14,7 +14,7 @@ from .verify import verify_all
 
 __all__ = [
     "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
-    "enumerate_cusps", "indicator_basis", "infinity_indicator", "raw_basis",
+    "enumerate_cusps", "indicator_basis", "infinity_indicator",
     "Lattice", "build_lattice", "compute_periods", "eisenstein_numbers",
     "zhat_plus", "eta_quotient", "q_derivative",
     "an_coefficients", "ap_point_count", "eichler_integral",

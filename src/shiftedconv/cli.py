@@ -67,7 +67,6 @@ def cmd_coeffs(args):
 
 
 def cmd_lattice(args):
-    mp.dps = args.digits
     lat = build_lattice(_get(args, args.label), args.digits)
     d = args.digits
     fields = {
@@ -85,7 +84,6 @@ def cmd_lattice(args):
 
 
 def cmd_mockform(args):
-    mp.dps = args.digits
     z = zhat_plus(_get(args, args.label), args.n_max, args.digits)
     rows = [(n, _nstr(z[n], args.digits)) for n in range(-1, args.n_max + 1)]
     if args.format == "json":
@@ -111,8 +109,7 @@ def cmd_mockform(args):
 
 
 def cmd_eisenstein(args):
-    mp.dps = args.digits
-    ind = indicator_basis(args.level, args.n_max)
+    ind = indicator_basis(args.level, args.n_max, args.digits)
     out = {}
     for cusp, series in ind.items():
         out[str(cusp)] = [(str(e), _nstr(series[e], args.digits))
@@ -127,7 +124,6 @@ def cmd_eisenstein(args):
 
 
 def cmd_poincare(args):
-    mp.dps = args.digits
     rows = []
     for n in range(0 if args.maass else 1, args.n_max + 1):
         if args.maass:
@@ -147,7 +143,6 @@ def cmd_poincare(args):
 
 
 def cmd_lseries(args):
-    mp.dps = args.digits
     model = _get(args, args.label)
     tables = []
     if args.method in ("direct", "both"):
@@ -183,7 +178,6 @@ def cmd_lseries(args):
 
 
 def cmd_verify(args):
-    mp.dps = args.digits
     cfg = PrecisionConfig(digits=args.digits, direct_terms=args.terms,
                           kloosterman_c_max=args.c_max)
     labels = [args.label] if args.label else None

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 
+from .config import memo
+
 SUPPORTED_CONDUCTORS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
 CM_CONDUCTORS = frozenset({27, 32, 36, 49})
 SQUAREFREE_CONDUCTORS = frozenset({11, 14, 15, 17, 19, 21})
@@ -114,19 +116,14 @@ def load_registry(path: str | None = None) -> list[EllipticCurveModel]:
         return _validate(_parse(fh, path))
 
 
-_REGISTRY_CACHE: dict[str | None, dict] = {}
-
-
+@memo
 def registry(path: str | None = None) -> dict:
-    """Label- and conductor-keyed lookup table (cached)."""
-    if path not in _REGISTRY_CACHE:
-        models = load_registry(path)
-        table = {}
-        for m in models:
-            table[m.label] = m
-            table[m.conductor] = m
-        _REGISTRY_CACHE[path] = table
-    return _REGISTRY_CACHE[path]
+    """Label- and conductor-keyed lookup table (cached per path)."""
+    table = {}
+    for m in load_registry(path):
+        table[m.label] = m
+        table[m.conductor] = m
+    return table
 
 
 def get_curve(key, path: str | None = None) -> EllipticCurveModel:

@@ -14,20 +14,24 @@ pi^2 / (N sin(pi w2 / N))^2 when w1 = 0 mod N (else 0), with the w2 = 0 case giv
 pi^2/3.  Indicators are solved from this (cusps x orbits) value matrix and re-verified
 by a Richardson-extrapolated numerical limit up each cusp.
 
-The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} is also provided; it cannot
-separate same-denominator cusps at the non-squarefree levels, which is why the
-indicator construction works with the vector family instead.
+The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} cannot separate
+same-denominator cusps at the non-squarefree levels, which is why the indicator
+construction works with the vector family instead; the tests keep that set as an
+independent oracle.
+
+Every entry point takes the working precision `digits` explicitly; bases and
+indicators are cached per (level, digits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from mpmath import mp, mpf, mpc
 
+from .config import memo
 from .series import FourierSeries
 
 
@@ -165,15 +169,11 @@ def vector_value_at_cusp(v, sigma, N: int):
     return _kappa(w2, N)
 
 
-_ZETA_CACHE: dict = {}
-
-
-def _zeta_table(N: int):
-    """[e^{2 pi i k / N} for k in 0..N-1] at the current precision."""
-    key = (N, mp.prec)
-    if key not in _ZETA_CACHE:
-        _ZETA_CACHE[key] = [mp.expjpi(mpf(2 * k) / N) for k in range(N)]
-    return _ZETA_CACHE[key]
+@memo
+def _zeta_table(N: int, prec: int):
+    """[e^{2 pi i k / N} for k in 0..N-1] at `prec` bits."""
+    with mp.workprec(prec):
+        return [mp.expjpi(mpf(2 * k) / N) for k in range(N)]
 
 
 def _vector_qexp_array(v, N: int, top: int, acc: list, coeff) -> None:
@@ -183,7 +183,7 @@ def _vector_qexp_array(v, N: int, top: int, acc: list, coeff) -> None:
         - (4 pi^2/N^2) sum_{m>0, m=+-c1 (N)} sum_{r>=1} r zeta_N^{+-r c2} q^{rm/N}.
     """
     c1, c2 = v[0] % N, v[1] % N
-    zeta = _zeta_table(N)
+    zeta = _zeta_table(N, mp.prec)
     pref = -4 * mp.pi ** 2 / N ** 2 * coeff
     for sign in (1, -1):
         m0 = (sign * c1) % N
@@ -191,14 +191,6 @@ def _vector_qexp_array(v, N: int, top: int, acc: list, coeff) -> None:
         for m in range(m0 if m0 else N, top, N):
             for r in range(1, (top - 1) // m + 1):
                 acc[r * m] += pref * r * zeta[(r * sc2) % N]
-
-
-def _vector_qexp_terms(v, N: int, n_max: int):
-    """Nonconstant q-expansion of G2^v: {exponent (Fraction) -> mpc coefficient}."""
-    top = N * (n_max + 1)
-    acc = [mp.mpc(0)] * top
-    _vector_qexp_array(v, N, top, acc, mpf(1))
-    return {Fraction(k, N): c for k, c in enumerate(acc) if c != 0}
 
 
 def vector_eval(v, N: int, z, tol_digits: int, qpow: dict = None):
@@ -216,7 +208,7 @@ def vector_eval(v, N: int, z, tol_digits: int, qpow: dict = None):
     total = mp.mpc(0)
     if c1 == 0:
         total += _kappa(c2, N)
-    zeta = _zeta_table(N)
+    zeta = _zeta_table(N, mp.prec)
     pref = -4 * mp.pi ** 2 / N ** 2
     for sign in (1, -1):
         m0 = (sign * c1) % N
@@ -239,37 +231,34 @@ def vector_eval(v, N: int, z, tol_digits: int, qpow: dict = None):
 
 
 class EisensteinBasis:
-    """Vector-orbit data and cusp indicators for one level."""
+    """Vector-orbit data and cusp indicators for one level, at `digits` working digits."""
 
-    def __init__(self, N: int):
+    def __init__(self, N: int, digits: int):
         self.level = N
+        self.digits = digits
         self.cusps = enumerate_cusps(N)
         self.orbits = vector_orbits(N)
-        self.build_dps = mp.dps + 25
-        with mp.workdps(self.build_dps):
+        with mp.workdps(digits + 25):
             self.values = mp.matrix(len(self.cusps), len(self.orbits))
             for j, cusp in enumerate(self.cusps):
                 sigma = _scaling_matrix(cusp)
                 for i, orbit in enumerate(self.orbits):
                     self.values[j, i] = mp.fsum(
                         vector_value_at_cusp(v, sigma, N) for v in orbit).real
-        self._indicators = None
+            sols = _solve_rect_mp(self.values, len(self.cusps))
+            self._indicators = [
+                {i: x for i, x in enumerate(col) if abs(x) > mpf(10) ** (-digits)}
+                for col in sols]
 
     def indicator_combos(self):
         """Per cusp: {orbit index -> coefficient} solving the delta value conditions."""
-        if self._indicators is None:
-            with mp.workdps(mp.dps + 25):
-                sols = _solve_rect_mp(self.values, len(self.cusps))
-            self._indicators = [
-                {i: x for i, x in enumerate(col) if abs(x) > mpf(10) ** (-mp.dps)}
-                for col in sols]
         return self._indicators
 
     def combo_qexp(self, combo: dict, n_max: int) -> FourierSeries:
         """q-expansion of sum over orbits; fractional exponents must cancel."""
         N = self.level
-        with mp.workdps(mp.dps + 15):
-            tol = mpf(10) ** (-(mp.dps - 25))
+        with mp.workdps(self.digits + 15):
+            tol = mpf(10) ** (-(self.digits - 10))
             top = N * (n_max + 1)
             acc = [mp.mpc(0)] * top
             const = mp.mpc(0)
@@ -296,14 +285,13 @@ class EisensteinBasis:
                 clean[e] = x
         return FourierSeries(clean, n_max + 1)
 
-    def cusp_constant_numeric(self, combo: dict, cusp: Cusp, digits: int = None):
+    def cusp_constant_numeric(self, combo: dict, cusp: Cusp, digits: int):
         """Richardson-extrapolated limit of the slashed combination up the cusp.
 
         The completion decays like 1/Y exactly, so one extrapolation step on a
         geometric ladder leaves only exponentially small error; a third rung
         guards against ladder misconfiguration.
         """
-        digits = digits or mp.dps
         N = self.level
         sigma = _scaling_matrix(cusp)
         a, b, c, d = sigma
@@ -370,128 +358,21 @@ def _solve_rect_mp(A, n_rhs: int):
     return sols
 
 
-_BASIS_CACHE: dict = {}
+@memo
+def basis_for_level(N: int, digits: int) -> EisensteinBasis:
+    return EisensteinBasis(N, digits)
 
 
-def basis_for_level(N: int) -> EisensteinBasis:
-    cached = _BASIS_CACHE.get(N)
-    if cached is None or cached.build_dps < mp.dps + 25:
-        _BASIS_CACHE[N] = EisensteinBasis(N)
-    return _BASIS_CACHE[N]
-
-
-def indicator_basis(N: int, n_max: int) -> dict:
+def indicator_basis(N: int, n_max: int, digits: int) -> dict:
     """Map cusp -> q-expansion of the indicator form F at that cusp."""
-    eb = basis_for_level(N)
+    eb = basis_for_level(N, digits)
     combos = eb.indicator_combos()
     return {cusp: eb.combo_qexp(combo, n_max)
             for cusp, combo in zip(eb.cusps, combos)}
 
 
-_INFTY_CACHE: dict = {}
-
-
-def infinity_indicator(N: int, n_max: int) -> FourierSeries:
+@memo
+def infinity_indicator(N: int, n_max: int, digits: int) -> FourierSeries:
     """F^infinity_{N,2}: 1 at the infinite cusp, 0 at all other cusps."""
-    key = (N, n_max, mp.dps)
-    if key not in _INFTY_CACHE:
-        eb = basis_for_level(N)
-        combo = eb.indicator_combos()[0]
-        _INFTY_CACHE[key] = eb.combo_qexp(combo, n_max)
-    return _INFTY_CACHE[key]
-
-
-# -- the textbook raw spanning set -----------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def e2_series(d: int, n_max: int) -> FourierSeries:
-    """E2(d z) = 1 - 24 sum sigma_1(n) q^{dn}, exact coefficients, O(q^{n_max+1})."""
-    coeffs = {0: 1}
-    for n in range(1, n_max // d + 1):
-        coeffs[d * n] = -24 * _sigma1(n)
-    return FourierSeries(coeffs, n_max + 1)
-
-
-@dataclass
-class RawForm:
-    """A spanning form: E2(z) itself or E2(z) - d E2(dz), with its V-weights."""
-
-    name: str
-    weights: dict          # {d: coefficient} meaning sum coeff * E2(d z)
-    qexp: FourierSeries
-
-
-def raw_basis(N: int, n_max: int):
-    """{E2(z)} u {E2(z) - d E2(dz) : d | N, d > 1} with q-expansions."""
-    rows = [RawForm("E2", {1: Fraction(1)}, e2_series(1, n_max))]
-    for d in range(2, N + 1):
-        if N % d == 0:
-            rows.append(RawForm(
-                f"E2 - {d} E2({d}z)",
-                {1: Fraction(1), d: Fraction(-d)},
-                e2_series(1, n_max) - d * e2_series(d, n_max)))
-    return rows
-
-
-def _e2_star_value(w):
-    """E2*(w) = 1 - 24 sum sigma_1(n) e^{2 pi i n w} - 3/(pi Im w)."""
-    q = mp.expjpi(2 * w)
-    tol = mpf(10) ** (-(mp.dps + 3))
-    total = mp.mpc(0)
-    qn = q
-    n = 1
-    while abs(qn) * (n * n) > tol and n < 100000:
-        total += _sigma1(n) * qn
-        qn *= q
-        n += 1
-    return 1 - 24 * total - 3 / (mp.pi * w.imag)
-
-
-def _hnf_triple(m11: int, m12: int, m21: int, m22: int):
-    """(A,B,D) with [[m11,m12],[m21,m22]] = gamma [[A,B],[0,D]], gamma in SL2(Z)."""
-    g = gcd(m11, m21)
-    r, s = -m21 // g, m11 // g
-    _, (u, v) = _ext_gcd(s, r)          # u s + v r = 1
-    p, q = u, -v
-    a = p * m11 + q * m21
-    b = p * m12 + q * m22
-    d = r * m12 + s * m22
-    if a < 0:
-        a, b, d = -a, -b, -d
-    b %= d
-    return a, b, d
-
-
-def cusp_constant(weights: dict, cusp: Cusp, digits: int = None):
-    """Numerical limit of a completed E2-combination slashed to a cusp.
-
-    `weights` maps d -> coefficient for sum coeff * E2*(d z).  Each E2*(d z) slashed
-    by the cusp's scaling matrix is an exact rescaling of E2* at a transported point
-    (column Hermite reduction), evaluated up a Y-ladder and Richardson-extrapolated.
-    """
-    digits = digits or mp.dps
-    sigma = _scaling_matrix(cusp)
-    a, b, c, dd = sigma
-    with mp.workdps(digits + 10):
-        dmax = max(weights)
-        y0 = mpf(dmax) * (digits * 2.303 / 6.283 + 4)
-        vals = []
-        for k in (1, 2, 4):
-            y = y0 * k
-            tot = mp.mpc(0)
-            for d, coeff in weights.items():
-                A2, B2, D2 = _hnf_triple(d * a, d * b, c, dd)
-                cf = mpf(coeff.numerator) / coeff.denominator if isinstance(coeff, Fraction) else coeff
-                # (E2* o (d .)) |_2 sigma = D2^{-2} E2*((A2 z + B2)/D2) with A2 D2 = d
-                tot += cf * _e2_star_value((mpc(B2, A2 * y)) / D2) / (D2 * D2)
-            vals.append(tot)
-        r1 = 2 * vals[1] - vals[0]
-        r2 = 2 * vals[2] - vals[1]
-        if abs(r2 - r1) > mpf(10) ** (-(digits - 8)) * (1 + abs(r2)):
-            raise ArithmeticError(f"cusp-limit extrapolation disagreement at {cusp}")
-        return r2
+    eb = basis_for_level(N, digits)
+    return eb.combo_qexp(eb.indicator_combos()[0], n_max)

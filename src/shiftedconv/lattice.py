@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf, mpc
 
+from .config import memo
 from .curves import EllipticCurveModel
 
 
@@ -260,18 +261,13 @@ def s_lambda(lat: Lattice):
     return s
 
 
-_LATTICE_CACHE: dict = {}
-
-
+@memo
 def build_lattice(model: EllipticCurveModel, precision_digits: int) -> Lattice:
     """Fully populated Lattice (periods, volume, quasi-periods, S), cached."""
-    key = (model.label, precision_digits)
-    if key not in _LATTICE_CACHE:
-        lat = compute_periods(model, precision_digits)
-        quasi_periods(lat)
-        s_lambda(lat)
-        _LATTICE_CACHE[key] = lat
-    return _LATTICE_CACHE[key]
+    lat = compute_periods(model, precision_digits)
+    quasi_periods(lat)
+    s_lambda(lat)
+    return lat
 
 
 def lattice_from_generators(omega1, omega2, precision_digits: int) -> Lattice:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from .config import memo
 from .curves import EllipticCurveModel
 from .lattice import build_lattice, eisenstein_numbers
 from .newform import an_coefficients, eichler_integral
@@ -18,9 +19,7 @@ def _real_part(x, digits):
     return x.real if hasattr(x, "imag") else x
 
 
-_ZHAT_CACHE: dict = {}
-
-
+@memo
 def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierSeries:
     """q-expansion q^-1 + c0 + c1 q + ... of the mock modular form, truncated past q^{n_max}.
 
@@ -28,9 +27,6 @@ def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierS
     integral; modular degree 1 keeps the result pole-free so no meromorphic correction
     enters.  Odd powers of E are accumulated Horner-style.
     """
-    key = (model.label, n_max, precision)
-    if key in _ZHAT_CACHE:
-        return _ZHAT_CACHE[key]
     lat = build_lattice(model, precision)
     with mp.workdps(precision + 10):
         f = an_coefficients(model, n_max + 2)
@@ -45,9 +41,7 @@ def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierS
             for k in range(1, k_top + 1):
                 power = power * esq                 # E^{2k+1}
                 acc = acc - gs[k - 1] * power
-        acc = acc.truncate(n_max + 1)
-    _ZHAT_CACHE[key] = acc
-    return acc
+        return acc.truncate(n_max + 1)
 
 
 def eta_unit(m: int, rel_truncation) -> FourierSeries:

@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
+from .config import memo
 from .curves import EllipticCurveModel
 from .series import FourierSeries
 
 
-def _sieve_primes(n: int) -> list[int]:
-    if n < 2:
-        return []
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p::p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[k] for 0 <= k <= n: the least prime factor of k (spf[k] = k for primes, 0 and 1)."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    unset = spf == 0
+    spf[unset] = np.nonzero(unset)[0]
+    return spf.tolist()
 
 
 def _count_points_naive(model: EllipticCurveModel, p: int) -> int:
@@ -71,6 +73,7 @@ def _nonsingular_count(model: EllipticCurveModel, p: int) -> int:
     return count
 
 
+@memo
 def ap_point_count(model: EllipticCurveModel, p: int) -> int:
     """Trace of Frobenius a_p; for bad p the split/nonsplit/additive code in {1,-1,0}."""
     if model.conductor % p == 0:
@@ -84,51 +87,65 @@ def ap_point_count(model: EllipticCurveModel, p: int) -> int:
     return ap
 
 
-@lru_cache(maxsize=None)
-def _an_table(model: EllipticCurveModel, n_max: int) -> tuple[int, ...]:
-    """a(n) for 1 <= n <= n_max as exact integers, index n (index 0 unused)."""
-    a = [0] * (n_max + 1)
-    a[1] = 1
-    # smallest-prime-factor sieve drives the multiplicative assembly
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in _sieve_primes(n_max):
-        sel = spf[p::p] == 0
-        spf[p::p][sel] = p
-        ap = ap_point_count(model, p)
-        good = model.conductor % p != 0
-        # prime powers by the Hecke recursion (bad primes: a(p^k) = a(p)^k)
-        pk = p
-        prev, cur = 1, ap
-        while pk <= n_max:
-            a[pk] = cur
-            pk *= p
-            if good:
-                prev, cur = cur, ap * cur - p * prev
+class _CoefficientTable:
+    """a(0..n) of one model (a(0) = 0) as one read-only int64 array, grown on demand.
+
+    Growing keeps every entry already known, so a_p is point-counted once per prime
+    however the requested lengths arrive.
+    """
+
+    def __init__(self, model: EllipticCurveModel):
+        self.model = model
+        self.a = np.array([0, 1], dtype=np.int64)
+        self.a.setflags(write=False)
+
+    def prefix(self, n_max: int) -> np.ndarray:
+        if n_max >= len(self.a):
+            self._grow(n_max)
+        return self.a[:n_max + 1]
+
+    def _grow(self, n_max: int) -> None:
+        a = self.a.tolist() + [0] * (n_max + 1 - len(self.a))
+        spf = _smallest_prime_factors(n_max)
+        N = self.model.conductor
+        for n in range(len(self.a), n_max + 1):
+            p = spf[n]
+            if p == n:
+                a[n] = ap_point_count(self.model, p)
+                continue
+            pk, m = p, n // p
+            while m % p == 0:
+                m //= p
+                pk *= p
+            if m > 1:
+                a[n] = a[pk] * a[m]
+            elif N % p:
+                # Hecke recursion at a good prime: a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2))
+                a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
             else:
-                cur = cur * ap
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        pk = p
-        m = n // p
-        while m % p == 0:
-            m //= p
-            pk *= p
-        if m > 1:
-            a[n] = a[pk] * a[m]
-    return tuple(a)
+                # bad prime: a(p^k) = a(p)^k
+                a[n] = a[p] * a[n // p]
+        table = np.array(a, dtype=np.int64)
+        table.setflags(write=False)
+        self.a = table
+
+
+@memo
+def _an_table(model: EllipticCurveModel) -> _CoefficientTable:
+    return _CoefficientTable(model)
 
 
 def an_coefficients(model: EllipticCurveModel, n_max: int) -> FourierSeries:
     """The newform q-expansion sum a(n) q^n, exact integer coefficients, O(q^{n_max+1})."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = _an_table(model, n_max)
+    table = an_array(model, n_max).tolist()
     return FourierSeries({n: table[n] for n in range(1, n_max + 1) if table[n]}, n_max + 1)
 
 
 def an_array(model: EllipticCurveModel, n_max: int) -> np.ndarray:
-    """a(0..n_max) as int64 (a(0) = 0), for bulk numeric work."""
-    return np.array(_an_table(model, n_max), dtype=np.int64)
+    """a(0..n_max) as a read-only int64 view (a(0) = 0), for bulk numeric work."""
+    return _an_table(model).prefix(n_max)
 
 
 def eichler_integral(f: FourierSeries) -> FourierSeries:

@@ -8,6 +8,8 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
+from .config import memo
+
 _TWO_PI = 2 * np.pi
 
 
@@ -32,16 +34,12 @@ def kloosterman(m: int, n: int, c: int):
 
 # -- fast float path for the c-sums -----------------------------------------
 
-_TABLE_CACHE: dict = {}
-
-
+@memo
 def _unit_tables(c: int):
     """(d, dbar) arrays over the units mod c, cached."""
-    if c not in _TABLE_CACHE:
-        ds = np.array([d for d in range(1, c) if gcd(d, c) == 1], dtype=np.int64)
-        dbars = np.array([pow(int(d), -1, c) for d in ds], dtype=np.int64)
-        _TABLE_CACHE[c] = (ds, dbars)
-    return _TABLE_CACHE[c]
+    ds = np.array([d for d in range(1, c) if gcd(d, c) == 1], dtype=np.int64)
+    dbars = np.array([pow(int(d), -1, c) for d in ds], dtype=np.int64)
+    return ds, dbars
 
 
 def kloosterman_float(m: int, n: int, c: int) -> float:

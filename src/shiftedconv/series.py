@@ -60,10 +60,6 @@ class FourierSeries:
     def one(cls, truncation):
         return cls({0: 1}, truncation)
 
-    @classmethod
-    def q_power(cls, e, truncation, coeff=1):
-        return cls({_exp(e): coeff}, truncation)
-
     # -- inspection ------------------------------------------------------
 
     @property
@@ -228,9 +224,6 @@ class FourierSeries:
             else:
                 out[e] = c
         return FourierSeries(out, self.truncation)
-
-    def map_coeffs(self, fn):
-        return FourierSeries({e: fn(c) for e, c in self.coeffs.items()}, self.truncation)
 
     def __repr__(self):
         terms = []

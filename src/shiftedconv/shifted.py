@@ -51,7 +51,8 @@ def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> DirectValue:
     """
     if h < 1:
         raise ValueError("shift must be positive")
-    # bucket the table length so h-sweeps share one cached coefficient table
+    # bucketed by 4096 so an h-sweep, and a later read of n_terms + 4096 entries,
+    # find the a(n) prefix already built
     table_len = n_terms + 4096 * (1 + (h - 1) // 4096)
     a = an_array(model, table_len)
     n = np.arange(1, n_terms + 1, dtype=np.int64)
@@ -87,26 +88,23 @@ def f_zhat_product(model: EllipticCurveModel, h_max: int, digits: int) -> Fourie
 def alpha_constant(model: EllipticCurveModel, n_terms_for_d: int, digits: int):
     """The constant multiplying f_E in the closed form.
 
-    Squarefree levels: (f Zhat)[1] - (pi/vol) D(1;1) - F^inf[1], with D(1;1) from the
-    smoothed direct sum (the formula defines alpha through that value).  CM levels:
-    exactly 0 by the support argument.
+    Squarefree levels: `alpha_fitted`.  CM levels: exactly 0 by the support argument.
     """
     if model.has_cm:
         return mpf(0)
-    with mp.workdps(digits + 10):
-        lat = build_lattice(model, digits)
-        fz1 = f_zhat_product(model, 2, digits)[1]
-        finf1 = infinity_indicator(model.conductor, 2)[1]
-        d11 = d_direct(model, 1, n_terms_for_d).value
-        return fz1 - (mp.pi / lat.volume) * d11 - finf1
+    return alpha_fitted(model, n_terms_for_d, digits)
 
 
 def alpha_fitted(model: EllipticCurveModel, n_terms_for_d: int, digits: int):
-    """alpha estimated by the same formula regardless of CM (N = 49 experiment)."""
+    """(f Zhat)[1] - (pi/vol) D(1;1) - F^inf[1], regardless of CM (N = 49 experiment).
+
+    D(1;1) comes from the smoothed direct sum; the formula defines alpha through
+    that value.
+    """
     with mp.workdps(digits + 10):
         lat = build_lattice(model, digits)
         fz1 = f_zhat_product(model, 2, digits)[1]
-        finf1 = infinity_indicator(model.conductor, 2)[1]
+        finf1 = infinity_indicator(model.conductor, 2, digits + 10)[1]
         d11 = d_direct(model, 1, n_terms_for_d).value
         return fz1 - (mp.pi / lat.volume) * d11 - finf1
 
@@ -118,7 +116,7 @@ def hol_projection_hat(model: EllipticCurveModel, h_max: int, digits: int,
         if alpha is None:
             alpha = alpha_constant(model, n_terms_for_d, digits)
         f = an_coefficients(model, h_max).to_mp()
-        finf = infinity_indicator(model.conductor, h_max)
+        finf = infinity_indicator(model.conductor, h_max, digits + 10)
         return (f * alpha + finf).truncate(h_max + 1)
 
 
@@ -135,7 +133,7 @@ def l_series_closed_form(model: EllipticCurveModel, h_max: int, digits: int,
             alpha = alpha_constant(model, n_terms_for_d, digits)
         fz = f_zhat_product(model, h_max, digits)
         f = an_coefficients(model, h_max).to_mp()
-        finf = infinity_indicator(model.conductor, h_max)
+        finf = infinity_indicator(model.conductor, h_max, digits + 10)
         combo = fz - f * alpha - finf
         if combo.leading_exponent < 0:
             raise ArithmeticError("assembly produced negative powers")
@@ -162,7 +160,7 @@ def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
     """
     N = model.conductor
     with mp.workdps(digits + 10):
-        eb = basis_for_level(N)
+        eb = basis_for_level(N, digits + 10)
         combos = eb.indicator_combos()
         inds = [eb.combo_qexp(c, h_max) for c in combos]
         if target is None:

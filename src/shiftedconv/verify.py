@@ -15,10 +15,9 @@ from .curves import load_registry, get_curve
 from .eisenstein import basis_for_level, cusp_count, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
 from .mockform import zhat_plus, eta_derivative_series, q_derivative
-from .newform import an_coefficients, an_array, ap_point_count, _sieve_primes
+from .newform import an_coefficients, an_array, _smallest_prime_factors
 from .poincare import bp_coefficient
-from .shifted import (alpha_constant, alpha_fitted, beta_fit, d_direct,
-                      l_series_closed_form, support_modulus)
+from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
 
 
 @dataclass
@@ -124,7 +123,7 @@ def check_eta_derivative(cfg: PrecisionConfig) -> CheckResult:
 def check_f_infinity_11(cfg: PrecisionConfig) -> CheckResult:
     t0 = time.time()
     with mp.workdps(cfg.digits):
-        f = infinity_indicator(11, 7)
+        f = infinity_indicator(11, 7, cfg.digits)
         want = [Fraction(1), Fraction(1, 5), Fraction(3, 5), Fraction(4, 5),
                 Fraction(7, 5), Fraction(6, 5), Fraction(12, 5)]
         worst = max(abs(f[n] - mpf(w.numerator) / w.denominator) for n, w in enumerate(want))
@@ -143,7 +142,7 @@ def check_f_infinity_27(cfg: PrecisionConfig) -> CheckResult:
     """
     t0 = time.time()
     with mp.workdps(cfg.digits):
-        f = infinity_indicator(27, 28)
+        f = infinity_indicator(27, 28, cfg.digits)
         devs = {9: abs(f[9] - 3), 18: abs(f[18] - 9), 27: abs(f[27] - (-15))}
     ok = max(devs.values()) <= mpf("1e-10")
     details = {("dev_q%d" % n): _str(d, 3) for n, d in devs.items()}
@@ -165,7 +164,7 @@ def check_f_infinity_27_adjudication(cfg: PrecisionConfig) -> CheckResult:
         tab = l_series_closed_form(model, 27, cfg.digits)
         dv = d_direct(model, 27, cfg.direct_terms)
         resid = abs(float(tab.entries[27]) - dv.value)
-        f27 = infinity_indicator(27, 28)[27]
+        f27 = infinity_indicator(27, 28, cfg.digits)[27]
         vol_pi = build_lattice(model, cfg.digits).volume / mp.pi
         stated = tab.entries[27] + vol_pi * (f27 - F27_STATED_Q27)
         resid_stated = abs(float(stated) - dv.value)
@@ -249,16 +248,15 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
                                    + 2 * mp.pi * mpc(0, 1)))
     out.append(CheckResult("10a-legendre", "Legendre relation residual <= 1e-50 (all lattices)",
                            worst <= mpf("1e-50"), {"worst": _str(worst, 3)}, time.time() - t0))
-    # Hasse bound
+    # Hasse bound, on the a(p) of the table 10c checks
     t0 = time.time()
     ok = True
+    spf = _smallest_prime_factors(10_000)
     for lab in labels:
         model = get_curve(lab)
-        for p in _sieve_primes(10_000):
-            if model.conductor % p == 0:
-                continue
-            ap = ap_point_count(model, p)
-            if ap * ap > 4 * p:
+        a = an_array(model, 10_000)
+        for p in range(2, 10_001):
+            if spf[p] == p and model.conductor % p and a[p] * a[p] > 4 * p:
                 ok = False
     out.append(CheckResult("10b-hasse", "|a_p| <= 2 sqrt(p) for good p <= 1e4 (all curves)",
                            ok, {}, time.time() - t0))
@@ -286,7 +284,7 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
         worst = mpf(0)
         for lab in labels:
             N = get_curve(lab).conductor
-            eb = basis_for_level(N)
+            eb = basis_for_level(N, cfg.digits)
             combos = eb.indicator_combos()
             k = len(eb.cusps)
             pairs = [(i, j) for i in range(k) for j in range(k)] if k <= 6 else \
