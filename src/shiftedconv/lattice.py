@@ -88,18 +88,22 @@ def compute_periods(model: EllipticCurveModel, precision_digits: int) -> Lattice
     return lat
 
 
-def eisenstein_numbers(lat: Lattice, k_max: int) -> list:
-    """[G_4(L), G_6(L), ..., G_{k_max}(L)] via the weight-2k q-series at tau."""
-    if k_max < 4:
+def eisenstein_numbers(lat: Lattice, w_max: int) -> list:
+    """[G_4(L), G_6(L), ..., G_{w_max}(L)] via the weight-2k q-series at tau.
+
+    Missing weights are filled at the lattice's own precision plus 25 digits, so a
+    cached G_w does not depend on the ambient precision or on the order of requests.
+    """
+    if w_max < 4:
         return []
-    if k_max % 2:
-        raise ValueError("k_max must be even")
+    if w_max % 2:
+        raise ValueError("w_max must be even")
     cached = lat._g_cache
-    need = [w for w in range(4, k_max + 1, 2) if w not in cached]
+    need = [w for w in range(4, w_max + 1, 2) if w not in cached]
     if need:
-        with mp.workdps(mp.dps + 10):
+        with mp.workdps(lat.precision_digits + 25):
             _fill_g_cache(lat, max(need))
-    return [cached[w] for w in range(4, k_max + 1, 2)]
+    return [cached[w] for w in range(4, w_max + 1, 2)]
 
 
 def _series_horizon(w: int, log_qinv: float, digits: int) -> int:
@@ -150,96 +154,31 @@ def _fill_g_cache(lat: Lattice, w_max: int) -> None:
         lat._g_cache[w] = g_tau * inv_o2 ** (w // 2)
 
 
-def _zeta_series(lat: Lattice, z, radius_ratio=mpf(0.72)):
-    """Weierstrass zeta via its Laurent expansion; |z| must be within the safe radius."""
-    lam = lat.lambda_min
-    r = abs(z) / lam
-    if r > radius_ratio:
-        raise LatticeError("point outside the zeta series' safe radius")
-    w_needed = int((mp.dps + 8) * mp.log(10) / mp.log(1 / r)) + 6 if r > 0 else 4
-    w_needed = max(4, w_needed + w_needed % 2)
-    gs = eisenstein_numbers(lat, w_needed)
-    acc = 1 / z
-    zp = z ** 3
-    z2 = z * z
-    for g in gs:  # g = G_{2k+2}, term -G_{2k+2} z^{2k+1}
-        acc -= g * zp
-        zp *= z2
-    return acc
+def _e2(tau):
+    """E2(tau) = 1 - 24 sum n q^n / (1 - q^n), summed until a term drops below 10^-(dps+5)."""
+    q = mp.expjpi(2 * tau)
+    tol = mpf(10) ** (-(mp.dps + 5))
+    total = mpc(0)
+    qn = mpc(1)
+    for n in range(1, 10 * mp.dps + 100):
+        qn *= q
+        term = n * qn / (1 - qn)
+        total += term
+        if abs(term) < tol:
+            return 1 - 24 * total
+    raise LatticeError(f"E2 q-series did not converge at tau = {mp.nstr(tau, 5)}")
 
 
-def _wp_and_derivative(lat: Lattice, z):
-    """(wp(z), wp'(z)) by the same Laurent data; same radius constraint as the zeta series."""
-    lam = lat.lambda_min
-    r = abs(z) / lam
-    if r > mpf(0.72):
-        raise LatticeError("point outside the wp series' safe radius")
-    w_needed = int((mp.dps + 8) * mp.log(10) / mp.log(1 / r)) + 6
-    w_needed = max(4, w_needed + w_needed % 2)
-    gs = eisenstein_numbers(lat, w_needed)
-    wp = 1 / (z * z)
-    wpd = -2 / (z * z * z)
-    zp = z * z
-    z2 = z * z
-    k = 1
-    for g in gs:
-        wp += (2 * k + 1) * g * zp
-        wpd += (2 * k + 1) * (2 * k) * g * zp / z
-        zp *= z2
-        k += 1
-    return wp, wpd
+def quasi_periods(lat: Lattice) -> tuple:
+    """eta_i = 2 zeta(omega_i / 2) from E2, with the Legendre relation enforced as a check.
 
-
-def weierstrass_zeta(lat: Lattice, z):
-    """zeta(Lambda; z) for any z, by duplication when outside the series radius.
-
-    zeta(2u) = 2 zeta(u) + wp''(u) / (2 wp'(u)), with wp'' = 6 wp^2 - g2/2.
-    """
-    if abs(z) / lat.lambda_min <= mpf(0.72):
-        return _zeta_series(lat, z)
-    u = z / 2
-    zu = weierstrass_zeta(lat, u)
-    wp, wpd = _wp_and_derivative_any(lat, u)
-    g2 = 60 * eisenstein_numbers(lat, 4)[0]
-    wpdd = 6 * wp * wp - g2 / 2
-    if abs(wpd) < mpf(10) ** (-mp.dps // 2):
-        raise LatticeError("duplication hit a critical point of wp")
-    return 2 * zu + wpdd / (2 * wpd)
-
-
-def _wp_and_derivative_any(lat: Lattice, z):
-    """(wp, wp') at any z: Laurent series inside the safe radius, duplication outside."""
-    if abs(z) / lat.lambda_min <= mpf(0.72):
-        return _wp_and_derivative(lat, z)
-    u = z / 2
-    wp, wpd = _wp_and_derivative_any(lat, u)
-    g2 = 60 * eisenstein_numbers(lat, 4)[0]
-    if abs(wpd) < mpf(10) ** (-mp.dps // 2):
-        raise LatticeError("duplication hit a critical point of wp")
-    wpdd = 6 * wp * wp - g2 / 2
-    lam = wpdd / (2 * wpd)
-    # lam' = (wp''' wp' - wp''^2) / (2 wp'^2) with wp''' = 12 wp wp'
-    lamd = (12 * wp * wpd * wpd - wpdd * wpdd) / (2 * wpd * wpd)
-    return lam * lam - 2 * wp, lam * lamd - wpd
-
-
-def quasi_periods(lat: Lattice, k_max: int = None) -> tuple:
-    """eta_i = 2 zeta(omega_i / 2), with the Legendre relation enforced as a check.
-
-    The zeta series depth is chosen adaptively; passing `k_max` caps the available
-    Eisenstein weights and raises with a tail estimate when that is not enough.
+    eta(omega) = (pi^2/3) E2(omega'/omega) / omega for an oriented basis (omega, omega'):
+    eta1 from the basis (omega1, omega2) at tau, eta2 from (omega2, -omega1) at -1/tau.
     """
     with mp.workdps(lat.precision_digits + 15):
-        if k_max is not None:
-            r = mpf(0.72)
-            needed = int((mp.dps + 8) * mp.log(10) / mp.log(1 / r)) + 6
-            if k_max < needed:
-                tail = r ** k_max
-                raise LatticeError(
-                    f"k_max={k_max} leaves a zeta-series tail of order {mp.nstr(tail, 3)}; "
-                    f"need weights through {needed}")
-        eta1 = 2 * weierstrass_zeta(lat, lat.omega1 / 2)
-        eta2 = 2 * weierstrass_zeta(lat, lat.omega2 / 2)
+        c = mp.pi ** 2 / 3
+        eta1 = c * _e2(lat.tau) / lat.omega1
+        eta2 = c * _e2(-1 / lat.tau) / lat.omega2
         resid = abs(lat.omega1 * eta2 - lat.omega2 * eta1 + 2 * mp.pi * mpc(0, 1))
         if resid > mpf(10) ** (-(lat.precision_digits - 10)):
             raise LatticeError(f"Legendre relation residual too large: {resid}")
@@ -269,14 +208,3 @@ def build_lattice(model: EllipticCurveModel, precision_digits: int) -> Lattice:
     s_lambda(lat)
     return lat
 
-
-def lattice_from_generators(omega1, omega2, precision_digits: int) -> Lattice:
-    """Lattice from explicit generators (test scaffolding; no curve attached)."""
-    with mp.workdps(precision_digits + 20):
-        o1, o2 = mpc(omega1), mpc(omega2)
-        if (o2 / o1).imag < 0:
-            o1, o2 = o2, o1
-        o1, o2 = _reduce_basis(o1, o2)
-        tau = o2 / o1
-        volume = abs((mp.conj(o1) * o2).imag)
-    return Lattice(o1, o2, tau, volume, precision_digits=precision_digits)

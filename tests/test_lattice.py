@@ -2,9 +2,22 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from shiftedconv.curves import get_curve, load_registry
-from shiftedconv.lattice import (build_lattice, compute_periods, eisenstein_numbers,
-                                 lattice_from_generators, quasi_periods, s_lambda,
-                                 weierstrass_zeta)
+from shiftedconv.lattice import (Lattice, LatticeError, _reduce_basis, build_lattice,
+                                 compute_periods, eisenstein_numbers, quasi_periods, s_lambda)
+
+from zeta_oracle import _wp_and_derivative, _zeta_series, weierstrass_zeta
+
+
+def lattice_from_generators(omega1, omega2, precision_digits: int) -> Lattice:
+    """Lattice from explicit generators (no curve attached)."""
+    with mp.workdps(precision_digits + 20):
+        o1, o2 = mpc(omega1), mpc(omega2)
+        if (o2 / o1).imag < 0:
+            o1, o2 = o2, o1
+        o1, o2 = _reduce_basis(o1, o2)
+        tau = o2 / o1
+        volume = abs((mp.conj(o1) * o2).imag)
+    return Lattice(o1, o2, tau, volume, precision_digits=precision_digits)
 
 
 def integration_period(model, dps):
@@ -68,6 +81,15 @@ def test_legendre_relation_all_curves():
         with mp.workdps(80):
             resid = abs(lat.omega1 * lat.eta2 - lat.omega2 * lat.eta1 + 2 * mp.pi * mpc(0, 1))
         assert resid < mpf(10) ** -50, m.label
+
+
+def test_quasi_periods_against_zeta_series_oracle():
+    """eta_i from E2 equals 2 zeta(omega_i / 2) from the Laurent series and duplication."""
+    for m in load_registry():
+        lat = build_lattice(m, 64)
+        with mp.workdps(79):
+            assert abs(2 * weierstrass_zeta(lat, lat.omega1 / 2) - lat.eta1) < mpf(10) ** -55, m.label
+            assert abs(2 * weierstrass_zeta(lat, lat.omega2 / 2) - lat.eta2) < mpf(10) ** -55, m.label
 
 
 def test_square_lattice_classics():
@@ -135,8 +157,9 @@ def test_s_lambda_eisenstein_summation_oracle():
 
     The row-ordered (Eisenstein) value of the weight-2 lattice sum is
     (pi^2/3) E2(tau) / omega1^2; passing to the s -> 0 regularized value subtracts
-    pi conj(omega1) / (vol omega1).  Both ingredients here come from the plain E2
-    q-series, independent of the production path through the zeta Laurent series.
+    pi conj(omega1) / (vol omega1).  The E2 sum here is mpmath's nsum, not the
+    package's loop; the independent leg for the quasi-periods is the zeta Laurent
+    series (test_quasi_periods_against_zeta_series_oracle).
     """
     for label in ("27a1", "11a1"):
         lat = build_lattice(get_curve(label), 48)
@@ -164,7 +187,6 @@ def test_zeta_duplication_consistency():
         z = lat.omega1 * mpf("0.31")  # inside the series radius
         direct = weierstrass_zeta(lat, z)
         # force duplication: evaluate at 2z via formula and compare to series at 2z
-        from shiftedconv.lattice import _zeta_series, _wp_and_derivative
         wp, wpd = _wp_and_derivative(lat, z)
         g4 = eisenstein_numbers(lat, 4)[0]
         wpdd = 6 * wp * wp - 30 * g4
@@ -178,10 +200,13 @@ def test_precondition_on_digits():
         compute_periods(get_curve("11a1"), 10)
 
 
-def test_quasi_periods_kmax_too_small_reports_tail():
-    from shiftedconv.lattice import LatticeError
+def test_quasi_periods_legendre_check_is_live():
+    """A stored tau off omega2/omega1 by 1e-20 breaks the Legendre relation and raises."""
     lat = compute_periods(get_curve("14a1"), 40)
-    with pytest.raises(LatticeError, match="tail"):
-        quasi_periods(lat, k_max=20)
-    eta1, eta2 = quasi_periods(lat, k_max=2000)
+    with mp.workdps(60):
+        bad = Lattice(lat.omega1, lat.omega2, lat.tau + mpf("1e-20"), lat.volume,
+                      precision_digits=40)
+    with pytest.raises(LatticeError, match="Legendre"):
+        quasi_periods(bad)
+    eta1, eta2 = quasi_periods(lat)
     assert eta1 is not None and eta2 is not None
