@@ -3,8 +3,8 @@
 from .config import PrecisionConfig
 from .curves import EllipticCurveModel, load_registry, get_curve
 from .eisenstein import enumerate_cusps, indicator_basis, infinity_indicator
-from .lattice import Lattice, build_lattice, compute_periods, eisenstein_numbers
-from .mockform import zhat_plus, eta_quotient, q_derivative
+from .lattice import Lattice, build_lattice, compute_periods, g_numbers
+from .mockform import zhat_plus, eta_quotient
 from .newform import an_coefficients, ap_point_count, eichler_integral
 from .poincare import kloosterman, bp_coefficient, bq_coefficient
 from .series import FourierSeries
@@ -15,8 +15,8 @@ from .verify import verify_all
 __all__ = [
     "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
     "enumerate_cusps", "indicator_basis", "infinity_indicator",
-    "Lattice", "build_lattice", "compute_periods", "eisenstein_numbers",
-    "zhat_plus", "eta_quotient", "q_derivative",
+    "Lattice", "build_lattice", "compute_periods", "g_numbers",
+    "zhat_plus", "eta_quotient",
     "an_coefficients", "ap_point_count", "eichler_integral",
     "kloosterman", "bp_coefficient", "bq_coefficient",
     "FourierSeries", "ShiftedConvolutionTable", "d_direct",

@@ -14,7 +14,7 @@ from .config import PrecisionConfig
 from .curves import load_registry, get_curve
 from .eisenstein import indicator_basis
 from .lattice import build_lattice
-from .mockform import zhat_plus, eta_derivative_series, q_derivative
+from .mockform import zhat_plus, eta_derivative_series
 from .newform import an_coefficients
 from .poincare import bp_coefficient, bq_coefficient
 from .shifted import d_direct_table, l_series_closed_form
@@ -97,13 +97,14 @@ def cmd_mockform(args):
             print("no eta-quotient tabulated for this level", file=sys.stderr)
             return 2
         eta = eta_derivative_series(model.conductor, args.n_max + 1)
-        dz = q_derivative(z)
-        worst = mp.mpf(0)
-        for e in range(-1, args.n_max + 1):
-            c = eta[e] if e >= eta.leading_exponent else 0
-            if hasattr(c, "numerator"):
-                c = mp.mpf(c.numerator) / c.denominator
-            worst = max(worst, abs(dz[e] - c))
+        with mp.workdps(args.digits):
+            dz = z.q_derivative()
+            worst = mp.mpf(0)
+            for e in range(-1, args.n_max + 1):
+                c = eta[e] if e >= eta.leading_exponent else 0
+                if hasattr(c, "numerator"):
+                    c = mp.mpf(c.numerator) / c.denominator
+                worst = max(worst, abs(dz[e] - c))
         print(f"# eta-quotient check: max deviation {_nstr(worst, 6)}")
     return 0
 
@@ -159,7 +160,8 @@ def cmd_lseries(args):
                          "err": repr(tab.errors[h]) if isinstance(tab.errors[h], float)
                          else _nstr(tab.errors[h], 3)}
                         for h in sorted(tab.entries)],
-            "metadata": {k: str(v) for k, v in tab.metadata.items()},
+            "metadata": {k: mpmath.nstr(v, args.digits) if isinstance(v, mpmath.mpf) else str(v)
+                         for k, v in tab.metadata.items()},
         })
     if args.format == "json":
         print(json.dumps(payload, indent=1))
@@ -253,7 +255,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    mp.dps = args.digits
     return args.fn(args)
 
 

@@ -51,21 +51,6 @@ class Cusp:
         return "oo" if self.c == 0 else f"{self.a}/{self.c}"
 
 
-@dataclass(frozen=True)
-class CuspSet:
-    level: int
-    cusps: tuple
-
-    def __len__(self):
-        return len(self.cusps)
-
-    def __iter__(self):
-        return iter(self.cusps)
-
-    def __getitem__(self, i):
-        return self.cusps[i]
-
-
 def cusp_count(N: int) -> int:
     """sum over d | N of phi(gcd(d, N/d))."""
     total = 0
@@ -76,7 +61,7 @@ def cusp_count(N: int) -> int:
     return total
 
 
-def enumerate_cusps(N: int) -> CuspSet:
+def enumerate_cusps(N: int) -> tuple:
     """Inequivalent cusp representatives of Gamma0(N), infinity first."""
     cusps = [Cusp(1, 0, 1)]
     for c in range(1, N):
@@ -93,9 +78,8 @@ def enumerate_cusps(N: int) -> CuspSet:
             while gcd(a, c) != 1:
                 a += g
             cusps.append(Cusp(a % c if c > 1 else 0, c, width))
-    cs = CuspSet(N, tuple(cusps))
-    assert len(cs) == cusp_count(N), f"cusp enumeration mismatch at level {N}"
-    return cs
+    assert len(cusps) == cusp_count(N), f"cusp enumeration mismatch at level {N}"
+    return tuple(cusps)
 
 
 def _ext_gcd(a: int, b: int):

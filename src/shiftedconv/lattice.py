@@ -1,8 +1,9 @@
-"""Period lattices: AGM periods, Eisenstein numbers, quasi-periods, and S(Lambda)."""
+"""Period lattices: AGM periods, exact Eisenstein numbers, quasi-periods, and S(Lambda)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
@@ -26,11 +27,6 @@ class Lattice:
     eta2: mpc = None
     s_lambda: mpc = None
     precision_digits: int = 0
-    _g_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def lambda_min(self):
-        return abs(self.omega1)
 
 
 def _reduce_basis(omega1, omega2):
@@ -80,93 +76,53 @@ def compute_periods(model: EllipticCurveModel, precision_digits: int) -> Lattice
         tau = omega2 / omega1
         volume = abs((mp.conj(omega1) * omega2).imag)
         lat = Lattice(omega1, omega2, tau, volume, precision_digits=precision_digits)
-        # reproducing the short Weierstrass invariants certifies the AGM branch
-        g4, g6 = eisenstein_numbers(lat, 6)
+        # reproducing the short Weierstrass invariants certifies the AGM branch:
+        # G_4 = 2 zeta(4) E4(tau) / omega1^4, G_6 = 2 zeta(6) E6(tau) / omega1^6
+        g4 = mp.pi ** 4 / 45 * _e_k(4, tau) / omega1 ** 4
+        g6 = 2 * mp.pi ** 6 / 945 * _e_k(6, tau) / omega1 ** 6
         err = max(abs(60 * g4 - g2), abs(140 * g6 - g3)) / max(abs(g2), abs(g3), mpf(1))
         if err > mpf(10) ** (-(precision_digits + 5)):
             raise LatticeError(f"{model.label}: lattice fails to reproduce g2/g3 (rel err {err})")
     return lat
 
 
-def eisenstein_numbers(lat: Lattice, w_max: int) -> list:
-    """[G_4(L), G_6(L), ..., G_{w_max}(L)] via the weight-2k q-series at tau.
+def g_numbers(model: EllipticCurveModel, w_max: int) -> list:
+    """[G_4, G_6, ..., G_{w_max}] of the model's period lattice, exact over Q.
 
-    Missing weights are filled at the lattice's own precision plus 25 digits, so a
-    cached G_w does not depend on the ambient precision or on the order of requests.
+    With wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2): c_2 = g2/20, c_3 = g3/28,
+    c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m} for k >= 4, and G_2k = c_k/(2k-1)
+    (Silverman, The Arithmetic of Elliptic Curves, VI.3).
     """
     if w_max < 4:
         return []
     if w_max % 2:
         raise ValueError("w_max must be even")
-    cached = lat._g_cache
-    need = [w for w in range(4, w_max + 1, 2) if w not in cached]
-    if need:
-        with mp.workdps(lat.precision_digits + 25):
-            _fill_g_cache(lat, max(need))
-    return [cached[w] for w in range(4, w_max + 1, 2)]
+    g2, g3 = model.short_invariants()
+    c = {2: g2 / 20, 3: g3 / 28}
+    for k in range(4, w_max // 2 + 1):
+        c[k] = Fraction(3, (2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1))
+    return [c[k] / (2 * k - 1) for k in range(2, w_max // 2 + 1)]
 
 
-def _series_horizon(w: int, log_qinv: float, digits: int) -> int:
-    """First n past the peak where n^(w-1) |q|^n has dropped by 10^-(digits)."""
-    import math
-    peak = max(1, int((w - 1) / log_qinv))
-    peak_log = (w - 1) * math.log(peak) - log_qinv * peak
-    target = peak_log - digits * math.log(10)
-    n = peak
-    while (w - 1) * math.log(n + 1) - log_qinv * (n + 1) > target:
-        n += 1 + n // 8
-    return n + 8
+_E_K_CONSTANT = {2: -24, 4: 240, 6: -504}
 
 
-def _fill_g_cache(lat: Lattice, w_max: int) -> None:
-    q = mp.expjpi(2 * lat.tau)
-    log_qinv = -mp.log(abs(q))
-    tol = mpf(10) ** (-(mp.dps + 5))
-    n_cap = _series_horizon(w_max, float(log_qinv), mp.dps + 10)
-    divs = [[] for _ in range(n_cap + 1)]
-    for d in range(1, n_cap + 1):
-        for m in range(d, n_cap + 1, d):
-            divs[m].append(d)
-    pow_cache = [mpf(d) ** 3 for d in range(n_cap + 1)]  # d^(w-1) maintained incrementally
-    qn = [q ** n for n in range(n_cap + 1)]
-    inv_o2 = 1 / (lat.omega1 * lat.omega1)
-    for w in range(4, w_max + 1, 2):
-        if w > 4:
-            for d in range(1, n_cap + 1):
-                pow_cache[d] *= d * d
-        if w in lat._g_cache:
-            continue
-        # G_w(tau) = 2 zeta(w) + 2 (2 pi i)^w / (w-1)! * sum sigma_{w-1}(n) q^n
-        pref = 2 * (-1) ** (w // 2) * (2 * mp.pi) ** w / mp.factorial(w - 1)
-        total = mp.mpc(0)
-        peak = int((w - 1) / log_qinv) + 1
-        biggest = mpf(0)
-        for n in range(1, n_cap + 1):
-            sig = mp.fsum(pow_cache[d] for d in divs[n])
-            term = sig * qn[n]
-            total += term
-            biggest = max(biggest, abs(term))
-            if n > peak and abs(term) < tol * max(1, biggest):
-                break
-        else:
-            raise LatticeError(f"q-series for G_{w} did not converge within {n_cap} terms")
-        g_tau = 2 * mp.zeta(w) + pref * total
-        lat._g_cache[w] = g_tau * inv_o2 ** (w // 2)
+def _e_k(k, tau):
+    """E_k(tau) = 1 + C_k sum n^(k-1) q^n / (1 - q^n) for k = 2, 4, 6.
 
-
-def _e2(tau):
-    """E2(tau) = 1 - 24 sum n q^n / (1 - q^n), summed until a term drops below 10^-(dps+5)."""
+    C_k = -24, 240, -504; summed until a term drops below 10^-(dps+5).
+    """
     q = mp.expjpi(2 * tau)
     tol = mpf(10) ** (-(mp.dps + 5))
     total = mpc(0)
     qn = mpc(1)
     for n in range(1, 10 * mp.dps + 100):
         qn *= q
-        term = n * qn / (1 - qn)
+        term = n ** (k - 1) * qn / (1 - qn)
         total += term
         if abs(term) < tol:
-            return 1 - 24 * total
-    raise LatticeError(f"E2 q-series did not converge at tau = {mp.nstr(tau, 5)}")
+            return 1 + _E_K_CONSTANT[k] * total
+    raise LatticeError(f"E{k} q-series did not converge at tau = {mp.nstr(tau, 5)}")
 
 
 def quasi_periods(lat: Lattice) -> tuple:
@@ -177,8 +133,8 @@ def quasi_periods(lat: Lattice) -> tuple:
     """
     with mp.workdps(lat.precision_digits + 15):
         c = mp.pi ** 2 / 3
-        eta1 = c * _e2(lat.tau) / lat.omega1
-        eta2 = c * _e2(-1 / lat.tau) / lat.omega2
+        eta1 = c * _e_k(2, lat.tau) / lat.omega1
+        eta2 = c * _e_k(2, -1 / lat.tau) / lat.omega2
         resid = abs(lat.omega1 * eta2 - lat.omega2 * eta1 + 2 * mp.pi * mpc(0, 1))
         if resid > mpf(10) ** (-(lat.precision_digits - 10)):
             raise LatticeError(f"Legendre relation residual too large: {resid}")

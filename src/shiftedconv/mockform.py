@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 
 from .config import memo
 from .curves import EllipticCurveModel
-from .lattice import build_lattice, eisenstein_numbers
+from .lattice import build_lattice, g_numbers
 from .newform import an_coefficients, eichler_integral
 from .series import FourierSeries
 
@@ -24,8 +24,9 @@ def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierS
     """q-expansion q^-1 + c0 + c1 q + ... of the mock modular form, truncated past q^{n_max}.
 
     Assembled as 1/E - sum_{k>=1} G_{2k+2}(L) E^{2k+1} - S(L) E with E the Eichler
-    integral; modular degree 1 keeps the result pole-free so no meromorphic correction
-    enters.  Odd powers of E are accumulated Horner-style.
+    integral and the G_{2k+2} exact over Q (g_numbers); modular degree 1 keeps the
+    result pole-free so no meromorphic correction enters.  Odd powers of E are
+    accumulated Horner-style.
     """
     lat = build_lattice(model, precision)
     with mp.workdps(precision + 10):
@@ -35,7 +36,7 @@ def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierS
         acc = eich.invert() - eich * s_val          # known below n_max + 1
         k_top = (n_max - 1) // 2
         if k_top >= 1:
-            gs = [_real_part(g, precision) for g in eisenstein_numbers(lat, 2 * k_top + 2)]
+            gs = [mpf(g.numerator) / g.denominator for g in g_numbers(model, 2 * k_top + 2)]
             esq = eich * eich
             power = eich
             for k in range(1, k_top + 1):
@@ -86,11 +87,6 @@ def eta_quotient(spec, n_max) -> FourierSeries:
         for _ in range(r):
             prod = prod * u
     return prod.truncate(rel).shift(lead)
-
-
-def q_derivative(f: FourierSeries) -> FourierSeries:
-    """q d/dq of a q-expansion."""
-    return f.q_derivative()
 
 
 # eta-quotient expressions for q d/dq of the mock form at the three rational-CM levels;

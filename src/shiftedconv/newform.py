@@ -24,19 +24,6 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf.tolist()
 
 
-def _count_points_naive(model: EllipticCurveModel, p: int) -> int:
-    """#E(F_p) by exhaustive enumeration of (x, y) pairs, plus the point at infinity."""
-    a1, a2, a3, a4, a6 = (a % p for a in model.ainvs)
-    count = 1
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        lx = (a1 * x + a3) % p
-        for y in range(p):
-            if (y * y + lx * y - rhs) % p == 0:
-                count += 1
-    return count
-
-
 def _count_points_char_sum(model: EllipticCurveModel, p: int) -> int:
     """#E(F_p) for odd p via the quadratic character of 4x^3 + b2 x^2 + 2b4 x + b6."""
     if p > 1_300_000:
@@ -78,10 +65,8 @@ def ap_point_count(model: EllipticCurveModel, p: int) -> int:
     """Trace of Frobenius a_p; for bad p the split/nonsplit/additive code in {1,-1,0}."""
     if model.conductor % p == 0:
         return p - _nonsingular_count(model, p)
-    if p <= 3:
-        ap = p + 1 - _count_points_naive(model, p)
-    else:
-        ap = p + 1 - _count_points_char_sum(model, p)
+    # at a good prime the reduction is smooth, so every affine point is nonsingular
+    ap = p + 1 - (_nonsingular_count(model, p) if p <= 3 else _count_points_char_sum(model, p))
     if ap * ap > 4 * p:
         raise ArithmeticError(f"Hasse bound violated at p={p} for {model.label}")
     return ap

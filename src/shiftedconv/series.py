@@ -249,8 +249,3 @@ def _grid_step(exponents):
     if num == 0:
         return Fraction(1)
     return Fraction(num, den)
-
-
-def approx_rational(x, max_denominator=10**6):
-    """Nearest small-denominator rational to a real value (diagnostic only)."""
-    return Fraction(float(x)).limit_denominator(max_denominator)

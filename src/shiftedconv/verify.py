@@ -14,7 +14,7 @@ from .config import PrecisionConfig
 from .curves import load_registry, get_curve
 from .eisenstein import basis_for_level, cusp_count, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
-from .mockform import zhat_plus, eta_derivative_series, q_derivative
+from .mockform import zhat_plus, eta_derivative_series
 from .newform import an_coefficients, an_array, _smallest_prime_factors
 from .poincare import bp_coefficient
 from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
@@ -109,7 +109,7 @@ def check_eta_derivative(cfg: PrecisionConfig) -> CheckResult:
     with mp.workdps(cfg.digits):
         for N in (27, 32, 36):
             z = zhat_plus(get_curve(N), 40, cfg.digits)
-            dz = q_derivative(z)
+            dz = z.q_derivative()
             eta = eta_derivative_series(N, 41)
             for e in range(-1, 41):
                 c = eta[e] if e >= eta.leading_exponent else 0

@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from shiftedconv.curves import get_curve, load_registry
 from shiftedconv.eisenstein import _zeta_table, basis_for_level, infinity_indicator
-from shiftedconv.lattice import build_lattice, compute_periods, eisenstein_numbers
+from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
 from shiftedconv.newform import _an_table, an_array, ap_point_count
 from shiftedconv.shifted import l_series_closed_form
@@ -58,25 +58,6 @@ def test_results_do_not_depend_on_ambient_precision_or_call_order():
             with mp.workdps(dps):
                 results.append(_closed_form_objects())
     assert all(r == results[0] for r in results)
-
-
-def test_eisenstein_numbers_do_not_depend_on_ambient_precision():
-    """G_w filled past the cached weights is the same under ambient dps 15 and 100."""
-    filled = []
-    for dps in (15, 100):
-        lat = compute_periods(get_curve("11a1"), 40)
-        with mp.workdps(dps):
-            filled.append([_bits(g) for g in eisenstein_numbers(lat, 336)])
-    assert filled[0] == filled[1]
-
-
-def test_eisenstein_numbers_do_not_depend_on_fill_order():
-    """Filling G_w to weight 32 and then to 42 stores what one fill to 42 stores."""
-    stepwise = compute_periods(get_curve("11a1"), 40)
-    eisenstein_numbers(stepwise, 32)
-    one_go = compute_periods(get_curve("11a1"), 40)
-    assert ([_bits(g) for g in eisenstein_numbers(stepwise, 42)]
-            == [_bits(g) for g in eisenstein_numbers(one_go, 42)])
 
 
 def test_an_table_serves_prefixes_and_counts_each_prime_once():

@@ -1,5 +1,7 @@
 import json
 
+from mpmath import mp
+
 from shiftedconv.cli import main
 
 
@@ -74,6 +76,18 @@ def test_lseries_both_json(capsys):
     closed = next(t for t in tabs if t["method"] == "closed-form")
     assert len(closed["entries"]) == 6
     assert all(isinstance(e["value"], str) for e in closed["entries"])
+
+
+def test_output_does_not_depend_on_ambient_precision(capsys):
+    argv = ["lseries", "--label", "11a1", "--h-max", "5", "--terms", "3000", "--format", "json"]
+    outs = []
+    for dps in (15, 100):
+        with mp.workdps(dps):
+            code, out, _ = run(capsys, argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])[1]["metadata"]["alpha"]) > 60
 
 
 def test_lseries_csv(capsys):

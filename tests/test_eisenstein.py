@@ -160,10 +160,9 @@ def test_indicator_delta_property_numeric():
 
 
 def test_indicator_rational_recovery_diagnostic():
-    from shiftedconv.series import approx_rational
     f = infinity_indicator(11, 7, 64)
     for n in range(7):
-        r = approx_rational(float(f[n]), 10 ** 6)
+        r = Fraction(float(f[n])).limit_denominator(10 ** 6)
         assert r.denominator <= 5
         assert abs(f[n] - mpf(r.numerator) / r.denominator) < mpf("1e-12")
 

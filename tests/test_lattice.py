@@ -3,9 +3,11 @@ from mpmath import mp, mpf, mpc
 
 from shiftedconv.curves import get_curve, load_registry
 from shiftedconv.lattice import (Lattice, LatticeError, _reduce_basis, build_lattice,
-                                 compute_periods, eisenstein_numbers, quasi_periods, s_lambda)
+                                 compute_periods, g_numbers, quasi_periods, s_lambda)
 
-from zeta_oracle import _wp_and_derivative, _zeta_series, weierstrass_zeta
+from g_oracle import eisenstein_numbers
+from zeta_oracle import (RADIUS_RATIO, _wp_and_derivative, _zeta_series, laurent_numbers,
+                         weierstrass_zeta)
 
 
 def lattice_from_generators(omega1, omega2, precision_digits: int) -> Lattice:
@@ -88,8 +90,9 @@ def test_quasi_periods_against_zeta_series_oracle():
     for m in load_registry():
         lat = build_lattice(m, 64)
         with mp.workdps(79):
-            assert abs(2 * weierstrass_zeta(lat, lat.omega1 / 2) - lat.eta1) < mpf(10) ** -55, m.label
-            assert abs(2 * weierstrass_zeta(lat, lat.omega2 / 2) - lat.eta2) < mpf(10) ** -55, m.label
+            gs = laurent_numbers(lat, min(abs(lat.tau) / 2, RADIUS_RATIO))  # |omega2| >= |omega1|
+            assert abs(2 * weierstrass_zeta(lat, lat.omega1 / 2, gs) - lat.eta1) < mpf(10) ** -55, m.label
+            assert abs(2 * weierstrass_zeta(lat, lat.omega2 / 2, gs) - lat.eta2) < mpf(10) ** -55, m.label
 
 
 def test_square_lattice_classics():
@@ -122,6 +125,16 @@ def test_g_recursion_oracle():
             lhs = (2 * n + 3) * (n - 2) * c[n]
             rhs = 3 * sum(c[m] * c[n - 1 - m] for m in range(1, n - 1))
             assert abs(lhs - rhs) < mpf(10) ** -30 * (1 + abs(lhs)), n
+
+
+def test_g_numbers_match_q_series_all_curves():
+    """The exact wp recursion against the divisor-sum q-series, G_4 .. G_64, all ten curves."""
+    for m in load_registry():
+        lat = build_lattice(m, 64)
+        with mp.workdps(90):
+            for g, want in zip(g_numbers(m, 64), eisenstein_numbers(lat, 64), strict=True):
+                got = mpf(g.numerator) / g.denominator
+                assert abs(got - want) < mpf(10) ** -80 * (1 + abs(want)), m.label
 
 
 def test_g2_g3_reproduction_all_curves():
@@ -185,13 +198,13 @@ def test_zeta_duplication_consistency():
     lat = build_lattice(get_curve("11a1"), 48)
     with mp.workdps(58):
         z = lat.omega1 * mpf("0.31")  # inside the series radius
-        direct = weierstrass_zeta(lat, z)
+        gs = laurent_numbers(lat, mpf("0.62"))
+        direct = weierstrass_zeta(lat, z, gs)
         # force duplication: evaluate at 2z via formula and compare to series at 2z
-        wp, wpd = _wp_and_derivative(lat, z)
-        g4 = eisenstein_numbers(lat, 4)[0]
-        wpdd = 6 * wp * wp - 30 * g4
+        wp, wpd = _wp_and_derivative(lat, z, gs)
+        wpdd = 6 * wp * wp - 30 * gs[0]
         dup = 2 * direct + wpdd / (2 * wpd)
-        ser = _zeta_series(lat, 2 * z)
+        ser = _zeta_series(lat, 2 * z, gs)
         assert abs(dup - ser) < mpf(10) ** -40
 
 

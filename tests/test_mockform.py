@@ -4,8 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from shiftedconv.curves import get_curve
-from shiftedconv.mockform import (eta_derivative_series, eta_quotient, eta_unit,
-                                  q_derivative, zhat_plus)
+from shiftedconv.mockform import eta_derivative_series, eta_quotient, eta_unit, zhat_plus
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -83,7 +82,7 @@ def test_eta_quotient_inverse_has_integer_coefficients():
 @pytest.mark.parametrize("N", (27, 32, 36))
 def test_eta_derivative_identity(N):
     z = zhat_plus(get_curve(N), 40, 64)
-    dz = q_derivative(z)
+    dz = z.q_derivative()
     eta = eta_derivative_series(N, 41)
     for e in range(-1, 41):
         c = eta[e] if e >= eta.leading_exponent else 0
@@ -100,7 +99,7 @@ def test_eta_table_row_27_effectively():
 def test_q_derivative_examples():
     from shiftedconv.series import FourierSeries
     f = FourierSeries({-1: 1, 0: 7, 2: Fraction(1, 2)}, 4)
-    d = q_derivative(f)
+    d = f.q_derivative()
     assert d[-1] == -1
     assert d[0] == 0
     assert d[2] == 1

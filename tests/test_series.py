@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from mpmath import mp, mpf
 
-from shiftedconv.series import FourierSeries, TruncationError, approx_rational
+from shiftedconv.series import FourierSeries, TruncationError
 
 
 def S(coeffs, trunc):
@@ -126,7 +126,3 @@ def test_derivative_product_rule(f, g):
     t = min(lhs.truncation, rhs.truncation)
     assert lhs.truncate(t) == rhs.truncate(t)
 
-
-def test_approx_rational():
-    assert approx_rational(0.2) == Fraction(1, 5)
-    assert approx_rational(float(mpf(3) / 7)) == Fraction(3, 7)

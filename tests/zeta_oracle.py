@@ -2,24 +2,38 @@
 
 zeta(z) = 1/z - sum_k G_{2k+2} z^{2k+1} inside 0.72 of the shortest lattice vector,
 and the duplication formula outside it.  The package takes eta_i from E2 instead;
-eta_i = 2 zeta(omega_i / 2) by this route checks it through the G_w q-series, which
-share nothing with the E2 sum but the nome.
+eta_i = 2 zeta(omega_i / 2) by this route checks it through the G_w of the test-side
+divisor-sum q-series (g_oracle), which share nothing with the E2 sum but the nome.
 """
 
 from mpmath import mp, mpf
 
-from shiftedconv.lattice import Lattice, LatticeError, eisenstein_numbers
+from shiftedconv.lattice import Lattice, LatticeError
+
+from g_oracle import eisenstein_numbers
+
+RADIUS_RATIO = mpf(0.72)
 
 
-def _zeta_series(lat: Lattice, z, radius_ratio=mpf(0.72)):
-    """Weierstrass zeta via its Laurent expansion; |z| must be within the safe radius."""
-    lam = lat.lambda_min
-    r = abs(z) / lam
-    if r > radius_ratio:
-        raise LatticeError("point outside the zeta series' safe radius")
+def _lambda_min(lat: Lattice):
+    """Length of the shortest lattice vector: omega1 of the Gauss-reduced basis."""
+    return abs(lat.omega1)
+
+
+def laurent_numbers(lat: Lattice, r):
+    """[G_4, ..., G_w] with w enough for the Laurent series at |z| <= r * lambda_min."""
     w_needed = int((mp.dps + 8) * mp.log(10) / mp.log(1 / r)) + 6 if r > 0 else 4
-    w_needed = max(4, w_needed + w_needed % 2)
-    gs = eisenstein_numbers(lat, w_needed)
+    return eisenstein_numbers(lat, max(4, w_needed + w_needed % 2))
+
+
+def _check_radius(lat: Lattice, z):
+    if abs(z) / _lambda_min(lat) > RADIUS_RATIO:
+        raise LatticeError("point outside the Laurent series' safe radius")
+
+
+def _zeta_series(lat: Lattice, z, gs):
+    """Weierstrass zeta via its Laurent expansion; |z| must be within the safe radius."""
+    _check_radius(lat, z)
     acc = 1 / z
     zp = z ** 3
     z2 = z * z
@@ -29,15 +43,9 @@ def _zeta_series(lat: Lattice, z, radius_ratio=mpf(0.72)):
     return acc
 
 
-def _wp_and_derivative(lat: Lattice, z):
+def _wp_and_derivative(lat: Lattice, z, gs):
     """(wp(z), wp'(z)) by the same Laurent data; same radius constraint as the zeta series."""
-    lam = lat.lambda_min
-    r = abs(z) / lam
-    if r > mpf(0.72):
-        raise LatticeError("point outside the wp series' safe radius")
-    w_needed = int((mp.dps + 8) * mp.log(10) / mp.log(1 / r)) + 6
-    w_needed = max(4, w_needed + w_needed % 2)
-    gs = eisenstein_numbers(lat, w_needed)
+    _check_radius(lat, z)
     wp = 1 / (z * z)
     wpd = -2 / (z * z * z)
     zp = z * z
@@ -51,30 +59,32 @@ def _wp_and_derivative(lat: Lattice, z):
     return wp, wpd
 
 
-def weierstrass_zeta(lat: Lattice, z):
+def weierstrass_zeta(lat: Lattice, z, gs):
     """zeta(Lambda; z) for any z, by duplication when outside the series radius.
 
-    zeta(2u) = 2 zeta(u) + wp''(u) / (2 wp'(u)), with wp'' = 6 wp^2 - g2/2.
+    zeta(2u) = 2 zeta(u) + wp''(u) / (2 wp'(u)), with wp'' = 6 wp^2 - g2/2.  Every
+    series point of the duplication chain lies within min(|z| / lambda_min, 0.72), so
+    gs = laurent_numbers(lat, r) for that r serves the whole chain.
     """
-    if abs(z) / lat.lambda_min <= mpf(0.72):
-        return _zeta_series(lat, z)
+    if abs(z) / _lambda_min(lat) <= RADIUS_RATIO:
+        return _zeta_series(lat, z, gs)
     u = z / 2
-    zu = weierstrass_zeta(lat, u)
-    wp, wpd = _wp_and_derivative_any(lat, u)
-    g2 = 60 * eisenstein_numbers(lat, 4)[0]
+    zu = weierstrass_zeta(lat, u, gs)
+    wp, wpd = _wp_and_derivative_any(lat, u, gs)
+    g2 = 60 * gs[0]
     wpdd = 6 * wp * wp - g2 / 2
     if abs(wpd) < mpf(10) ** (-mp.dps // 2):
         raise LatticeError("duplication hit a critical point of wp")
     return 2 * zu + wpdd / (2 * wpd)
 
 
-def _wp_and_derivative_any(lat: Lattice, z):
+def _wp_and_derivative_any(lat: Lattice, z, gs):
     """(wp, wp') at any z: Laurent series inside the safe radius, duplication outside."""
-    if abs(z) / lat.lambda_min <= mpf(0.72):
-        return _wp_and_derivative(lat, z)
+    if abs(z) / _lambda_min(lat) <= RADIUS_RATIO:
+        return _wp_and_derivative(lat, z, gs)
     u = z / 2
-    wp, wpd = _wp_and_derivative_any(lat, u)
-    g2 = 60 * eisenstein_numbers(lat, 4)[0]
+    wp, wpd = _wp_and_derivative_any(lat, u, gs)
+    g2 = 60 * gs[0]
     if abs(wpd) < mpf(10) ** (-mp.dps // 2):
         raise LatticeError("duplication hit a critical point of wp")
     wpdd = 6 * wp * wp - g2 / 2
