@@ -8,13 +8,12 @@ import json
 import sys
 
 import mpmath
-from mpmath import mp
 
 from .config import PrecisionConfig
 from .curves import load_registry, get_curve
 from .eisenstein import indicator_basis
 from .lattice import build_lattice
-from .mockform import zhat_plus, eta_derivative_series
+from .mockform import ETA_DERIVATIVE_TABLE, eta_derivative_deviation, zhat_plus
 from .newform import an_coefficients
 from .poincare import bp_coefficient, bq_coefficient
 from .shifted import d_direct_table, l_series_closed_form
@@ -25,10 +24,14 @@ def _nstr(x, digits):
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
-def _common(sub):
-    sub.add_argument("--digits", type=int, default=64, help="working decimal precision")
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--curve-file", default=None, help="curve table overriding the built-in one")
+def _options(sub, *, digits=False, csv_rows=False, curve_file=False):
+    """Give a subcommand --format and only the shared options it reads."""
+    if digits:
+        sub.add_argument("--digits", type=int, default=64, help="working decimal precision")
+    sub.add_argument("--format", choices=("text", "json", "csv") if csv_rows else ("text", "json"),
+                     default="text")
+    if curve_file:
+        sub.add_argument("--curve-file", default=None, help="curve table overriding the built-in one")
     return sub
 
 
@@ -84,7 +87,8 @@ def cmd_lattice(args):
 
 
 def cmd_mockform(args):
-    z = zhat_plus(_get(args, args.label), args.n_max, args.digits)
+    model = _get(args, args.label)
+    z = zhat_plus(model, args.n_max, args.digits)
     rows = [(n, _nstr(z[n], args.digits)) for n in range(-1, args.n_max + 1)]
     if args.format == "json":
         print(json.dumps(rows))
@@ -92,35 +96,26 @@ def cmd_mockform(args):
         for n, c in rows:
             print(f"q^{n:<4} {c}")
     if args.check_eta:
-        model = _get(args, args.label)
-        if model.conductor not in (27, 32, 36):
+        if model.conductor not in ETA_DERIVATIVE_TABLE:
             print("no eta-quotient tabulated for this level", file=sys.stderr)
             return 2
-        eta = eta_derivative_series(model.conductor, args.n_max + 1)
-        with mp.workdps(args.digits):
-            dz = z.q_derivative()
-            worst = mp.mpf(0)
-            for e in range(-1, args.n_max + 1):
-                c = eta[e] if e >= eta.leading_exponent else 0
-                if hasattr(c, "numerator"):
-                    c = mp.mpf(c.numerator) / c.denominator
-                worst = max(worst, abs(dz[e] - c))
+        worst = eta_derivative_deviation(model, args.n_max, args.digits)
         print(f"# eta-quotient check: max deviation {_nstr(worst, 6)}")
     return 0
 
 
 def cmd_eisenstein(args):
     ind = indicator_basis(args.level, args.n_max, args.digits)
-    out = {}
-    for cusp, series in ind.items():
-        out[str(cusp)] = [(str(e), _nstr(series[e], args.digits))
-                          for e in range(args.n_max + 1)]
     if args.format == "json":
+        out = {str(cusp): [(str(e), _nstr(series[e], args.digits)) for e in range(args.n_max + 1)]
+               for cusp, series in ind.items()}
         print(json.dumps(out, indent=1))
     else:
-        for cusp, rows in out.items():
-            nonzero = [(e, c) for e, c in rows if not c.startswith("0.0")]
-            print(f"F^({cusp}): " + " + ".join(f"({c})q^{e}" for e, c in nonzero[:12]))
+        tol = mpmath.mpf(10) ** (10 - args.digits)  # exact zeros and their roundoff
+        for cusp, series in ind.items():
+            terms = [f"({_nstr(series[e], args.digits)})q^{e}" for e in range(args.n_max + 1)
+                     if abs(series[e]) > tol]
+            print(f"F^({cusp}): " + " + ".join(terms[:12]))
     return 0
 
 
@@ -132,8 +127,7 @@ def cmd_poincare(args):
         else:
             if n == 0:
                 continue
-            r = bp_coefficient(args.index, args.weight, args.level, n, args.c_max,
-                               bessel_argument=args.bessel_arg)
+            r = bp_coefficient(args.index, args.weight, args.level, n, args.c_max)
         rows.append({"n": n, "value": repr(r.value), "tail_estimate": repr(r.tail_estimate)})
     if args.format == "json":
         print(json.dumps(rows, indent=1))
@@ -204,48 +198,50 @@ def build_parser():
                                             "genus-one modular elliptic curves")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = _common(sub.add_parser("curves", help="list the curve registry"))
+    s = _options(sub.add_parser("curves", help="list the curve registry"), curve_file=True)
     s.set_defaults(fn=cmd_curves)
 
-    s = _common(sub.add_parser("coeffs", help="newform coefficients a(n)"))
+    s = _options(sub.add_parser("coeffs", help="newform coefficients a(n)"), csv_rows=True,
+                 curve_file=True)
     s.add_argument("--label", required=True)
     s.add_argument("--n-max", type=int, default=50)
     s.set_defaults(fn=cmd_coeffs)
 
-    s = _common(sub.add_parser("lattice", help="periods, quasi-periods, volume, S"))
+    s = _options(sub.add_parser("lattice", help="periods, quasi-periods, volume, S"), digits=True,
+                 curve_file=True)
     s.add_argument("--label", required=True)
     s.set_defaults(fn=cmd_lattice)
 
-    s = _common(sub.add_parser("mockform", help="Weierstrass mock modular form expansion"))
+    s = _options(sub.add_parser("mockform", help="Weierstrass mock modular form expansion"),
+                 digits=True, curve_file=True)
     s.add_argument("--label", required=True)
     s.add_argument("--n-max", type=int, default=40)
     s.add_argument("--check-eta", action="store_true")
     s.set_defaults(fn=cmd_mockform)
 
-    s = _common(sub.add_parser("eisenstein", help="cusp indicator basis"))
+    s = _options(sub.add_parser("eisenstein", help="cusp indicator basis"), digits=True)
     s.add_argument("--level", type=int, required=True)
     s.add_argument("--n-max", type=int, default=30)
     s.set_defaults(fn=cmd_eisenstein)
 
-    s = _common(sub.add_parser("poincare", help="Poincare series coefficients"))
+    s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
     s.add_argument("--level", type=int, required=True)
     s.add_argument("--index", type=int, default=1)
     s.add_argument("--weight", type=int, default=2)
     s.add_argument("--n-max", type=int, default=10)
     s.add_argument("--c-max", type=int, default=10_000)
-    s.add_argument("--bessel-arg", type=float, default=4.0,
-                   help="J-Bessel argument multiplier in pi sqrt(mn)/c units")
     s.add_argument("--maass", action="store_true", help="Maass-Poincare b_Q instead of b_P")
     s.set_defaults(fn=cmd_poincare)
 
-    s = _common(sub.add_parser("lseries", help="shifted convolution L-values"))
+    s = _options(sub.add_parser("lseries", help="shifted convolution L-values"), digits=True,
+                 csv_rows=True, curve_file=True)
     s.add_argument("--label", required=True)
     s.add_argument("--method", choices=("direct", "closed", "both"), default="both")
     s.add_argument("--h-max", type=int, default=30)
     s.add_argument("--terms", type=int, default=100_000)
     s.set_defaults(fn=cmd_lseries)
 
-    s = _common(sub.add_parser("verify", help="run the acceptance suite"))
+    s = _options(sub.add_parser("verify", help="run the acceptance suite"), digits=True)
     s.add_argument("--label", default=None, help="restrict checks to one curve")
     s.add_argument("--terms", type=int, default=100_000)
     s.add_argument("--c-max", type=int, default=10_000)

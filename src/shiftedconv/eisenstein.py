@@ -6,13 +6,15 @@ Construction.  For a row vector v = (c1, c2) in (Z/N)^2, v != 0, let
 
 summed in Eisenstein order (inner n, outer m).  Its completion by -pi/(N^2 y) slashes
 equivariantly: G2^v |_2 sigma = G2^{v sigma} for every sigma in SL2(Z), and G2^{-v} =
-G2^v.  Since Gamma0(N) reduces to the upper-triangular subgroup mod N, it acts on the
-vectors by permutation, so sums over Gamma0(N)-orbits span the full space of weight-2
-quasimodular Eisenstein forms for Gamma0(N) and are invariant by construction.  The
-value of G2^v at the cusp sigma(infinity) is the constant term of G2^{v sigma}:
+G2^v.  Gamma0(N) reduces mod N to the upper-triangular matrices (u, b; 0, 1/u), so it
+permutes the vectors, and the sum of G2^v over a Gamma0(N)-orbit is invariant by
+construction.  Each cusp a/c gets the orbit of its primitive vector (-c, a), taken up
+to sign (Diamond-Shurman, A First Course in Modular Forms, ch. 4).  The value of G2^v
+at the cusp sigma(infinity) is the constant term of G2^{v sigma}:
 pi^2 / (N sin(pi w2 / N))^2 when w1 = 0 mod N (else 0), with the w2 = 0 case giving
-pi^2/3.  Indicators are solved from this (cusps x orbits) value matrix and re-verified
-by a Richardson-extrapolated numerical limit up each cusp.
+pi^2/3.  The indicators are the columns of the inverse of this square (cusps x cusps)
+value matrix, and a Richardson-extrapolated numerical limit up each cusp re-verifies
+them.
 
 The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} cannot separate
 same-denominator cusps at the non-squarefree levels, which is why the indicator
@@ -106,33 +108,12 @@ def _canon(v, N):
     return min((c1, c2), ((-c1) % N, (-c2) % N))
 
 
-def vector_orbits(N: int):
-    """Gamma0(N)-orbits on nonzero vectors of (Z/N)^2, up to v ~ -v."""
-    units = [a for a in range(1, N) if gcd(a, N) == 1]
-    inv = {a: pow(a, -1, N) for a in units}
-    seen = {}
-    orbits = []
-    for c1 in range(N):
-        for c2 in range(N):
-            if c1 == 0 and c2 == 0:
-                continue
-            start = _canon((c1, c2), N)
-            if start in seen:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                images = [_canon((v[0], v[0] + v[1]), N)]
-                images.extend(_canon((v[0] * a, v[1] * inv[a]), N) for a in units)
-                for w in images:
-                    if w not in orbit:
-                        orbit.add(w)
-                        frontier.append(w)
-            for w in orbit:
-                seen[w] = len(orbits)
-            orbits.append(sorted(orbit))
-    return orbits
+def cusp_orbit(cusp: Cusp, N: int) -> list:
+    """Gamma0(N)-orbit of the cusp's primitive vector (-c, a), up to v ~ -v, sorted."""
+    a, c = cusp.a, cusp.c
+    units = [u for u in range(1, N) if gcd(u, N) == 1]
+    return sorted({_canon((-c * u, a * pow(u, -1, N) - c * b), N)
+                   for u in units for b in range(N)})
 
 
 def _kappa(c2: int, N: int):
@@ -215,24 +196,25 @@ def vector_eval(v, N: int, z, tol_digits: int, qpow: dict = None):
 
 
 class EisensteinBasis:
-    """Vector-orbit data and cusp indicators for one level, at `digits` working digits."""
+    """One vector orbit per cusp and the cusp indicators for one level, at `digits` working digits."""
 
     def __init__(self, N: int, digits: int):
         self.level = N
         self.digits = digits
         self.cusps = enumerate_cusps(N)
-        self.orbits = vector_orbits(N)
+        self.orbits = [cusp_orbit(c, N) for c in self.cusps]
+        k = len(self.cusps)
         with mp.workdps(digits + 25):
-            self.values = mp.matrix(len(self.cusps), len(self.orbits))
+            self.values = mp.matrix(k, k)
             for j, cusp in enumerate(self.cusps):
                 sigma = _scaling_matrix(cusp)
                 for i, orbit in enumerate(self.orbits):
                     self.values[j, i] = mp.fsum(
                         vector_value_at_cusp(v, sigma, N) for v in orbit).real
-            sols = _solve_rect_mp(self.values, len(self.cusps))
+            inv = mp.inverse(self.values)           # ZeroDivisionError if singular
             self._indicators = [
-                {i: x for i, x in enumerate(col) if abs(x) > mpf(10) ** (-digits)}
-                for col in sols]
+                {i: inv[i, j] for i in range(k) if abs(inv[i, j]) > mpf(10) ** (-digits)}
+                for j in range(k)]
 
     def indicator_combos(self):
         """Per cusp: {orbit index -> coefficient} solving the delta value conditions."""
@@ -297,49 +279,6 @@ class EisensteinBasis:
                 raise ArithmeticError(
                     f"cusp-limit extrapolation disagreement at {cusp}: {abs(r2 - r1)}")
             return r2
-
-
-def _solve_rect_mp(A, n_rhs: int):
-    """Solutions x of A x = e_j for j < n_rhs, via Gauss-Jordan with column pivoting.
-
-    A is an mpmath matrix with at least as many columns as rows; free columns get
-    zero.  Raises on rank deficiency.
-    """
-    nr, nc = A.rows, A.cols
-    m = mp.matrix(nr, nc + n_rhs)
-    m[:, :nc] = A.copy()
-    for j in range(n_rhs):
-        m[j, nc + j] = 1
-    scale = max(abs(A[i, j]) for i in range(nr) for j in range(nc))
-    pivots = []
-    row = 0
-    for col in range(nc):
-        piv, best = None, scale * mpf(10) ** (-(mp.dps // 2))
-        for r in range(row, nr):
-            if abs(m[r, col]) > best:
-                piv, best = r, abs(m[r, col])
-        if piv is None:
-            continue
-        m[row, :], m[piv, :] = m[piv, :], m[row, :]
-        m[row, :] = m[row, :] / m[row, col]
-        for r in range(nr):
-            if r != row:
-                f = m[r, col]
-                if f:
-                    m[r, :] = m[r, :] - f * m[row, :]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    if row < nr:
-        raise ArithmeticError("cusp-value matrix has deficient rank")
-    sols = []
-    for j in range(n_rhs):
-        x = [mpf(0)] * nc
-        for r, col in enumerate(pivots):
-            x[col] = m[r, nc + j]
-        sols.append(x)
-    return sols
 
 
 @memo

@@ -105,3 +105,12 @@ def eta_derivative_series(conductor: int, n_max) -> FourierSeries:
         raise KeyError(f"no eta-quotient tabulated for conductor {conductor}")
     sign, spec = ETA_DERIVATIVE_TABLE[conductor]
     return eta_quotient(spec, n_max) * sign
+
+
+def eta_derivative_deviation(model: EllipticCurveModel, n_max: int, digits: int):
+    """max |(q d/dq Zhat^+)[e] - eta[e]| over e = -1 .. n_max, at `digits` working digits."""
+    eta = eta_derivative_series(model.conductor, n_max + 1)
+    with mp.workdps(digits):
+        dz = zhat_plus(model, n_max, digits).q_derivative()
+        return max(abs(dz[e] - mpf(eta[e].numerator) / eta[e].denominator)
+                   for e in range(-1, n_max + 1))

@@ -64,17 +64,14 @@ class CoefficientSum(NamedTuple):
     tail_estimate: float
 
 
-def bp_coefficient(m: int, k: int, N: int, n: int, c_max: int,
-                   bessel_argument: float = 2.0) -> CoefficientSum:
+def bp_coefficient(m: int, k: int, N: int, n: int, c_max: int) -> CoefficientSum:
     """Fourier coefficient b_P(m, k, N; n) of the weight-k index-m Poincare series.
 
     (n/m)^{(k-1)/2} (delta_{mn} + 2 pi i^{-k} sum_{N | c <= c_max}
-                     J_{k-1}(bessel_argument * pi sqrt(mn)/c) K(m,n;c)/c).
+                     J_{k-1}(4 pi sqrt(mn)/c) K(m,n;c)/c)
 
-    `bessel_argument` selects the argument convention (2 as in one displayed form
-    of the identity, 4 for the classical Petersson normalization); the
-    reconstruction test fixes the choice empirically.  The tail estimate is the accumulated magnitude of
-    the last decade of c-terms.
+    in the classical Petersson normalization.  The tail estimate is the accumulated
+    magnitude of the last decade of c-terms.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be a positive even integer")
@@ -82,7 +79,7 @@ def bp_coefficient(m: int, k: int, N: int, n: int, c_max: int,
         raise ValueError("indices must be positive")
     front = (n / m) ** ((k - 1) / 2)
     sign = (-1) ** (k // 2)  # i^{-k}
-    arg0 = bessel_argument * np.pi * np.sqrt(m * n)
+    arg0 = 4 * np.pi * np.sqrt(m * n)
     total = 0.0
     tail = 0.0
     for c in range(N, c_max + 1, N):

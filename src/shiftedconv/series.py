@@ -122,17 +122,13 @@ class FourierSeries:
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def _val_for_trunc(self):
-        # valuation used by truncation propagation; empty series acts like O(q^T)
-        return min(self.coeffs) if self.coeffs else self.truncation
-
     def __mul__(self, other):
         if not isinstance(other, FourierSeries):
             if _is_exact(other) and other == 0:
                 return FourierSeries.zero(self.truncation)
             return FourierSeries({e: c * other for e, c in self.coeffs.items()}, self.truncation)
-        t = min(self.truncation + other._val_for_trunc(),
-                other.truncation + self._val_for_trunc())
+        t = min(self.truncation + other.leading_exponent,
+                other.truncation + self.leading_exponent)
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -149,7 +145,7 @@ class FourierSeries:
             raise TypeError("only integer powers")
         if n < 0:
             return self.invert() ** (-n)
-        result = FourierSeries.one(self.truncation + (n - 1) * self._val_for_trunc()
+        result = FourierSeries.one(self.truncation + (n - 1) * self.leading_exponent
                                    if self.coeffs else self.truncation)
         base = self
         while n:

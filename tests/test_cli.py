@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from mpmath import mp
 
 from shiftedconv.cli import main
@@ -119,3 +120,14 @@ def test_verify_label_filter_runs_property_checks(capsys):
     assert "10d-cusp-counts" in out
     assert "1-newform" not in out
     assert "checks passed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--label", "11a1", "--format", "csv"],
+    ["poincare", "--level", "11", "--digits", "40"],
+    ["verify", "--curve-file", "f"],
+])
+def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -4,11 +4,13 @@ from math import gcd
 import pytest
 from mpmath import mp, mpf, mpc
 
-from shiftedconv.eisenstein import (basis_for_level, cusp_count, enumerate_cusps,
+from shiftedconv.eisenstein import (basis_for_level, cusp_count, cusp_orbit, enumerate_cusps,
                                     indicator_basis, infinity_indicator, vector_eval,
-                                    vector_orbits, _scaling_matrix)
+                                    _canon, _scaling_matrix)
 
-from e2_oracle import cusp_constant, raw_basis
+from shiftedconv.series import FourierSeries
+
+from e2_oracle import cusp_constant, e2_series, raw_basis
 
 EXPECTED_COUNTS = {11: 2, 14: 4, 15: 4, 17: 2, 19: 2, 21: 4, 27: 6, 32: 8, 36: 12, 49: 8}
 
@@ -75,10 +77,21 @@ def test_cusp_constants_of_raw_forms():
 
 
 def test_vector_orbit_action_closure():
-    orbits = vector_orbits(27)
-    allv = {v for orbit in orbits for v in orbit}
-    # canonical vectors tile (Z/27)^2 minus zero, modulo +-
-    assert len(allv) == (27 * 27 - 1 + 1) // 2
+    """One orbit per cusp: each closed under Gamma0(N), pairwise disjoint, and together
+    the primitive vectors up to +-."""
+    for N in (27, 36, 49):
+        orbits = [cusp_orbit(c, N) for c in enumerate_cusps(N)]
+        units = [u for u in range(1, N) if gcd(u, N) == 1]
+        for orbit in orbits:
+            members = set(orbit)
+            for v in orbit:
+                assert _canon((v[0], v[0] + v[1]), N) in members
+                assert all(_canon((v[0] * u, v[1] * pow(u, -1, N)), N) in members for u in units)
+        allv = [v for orbit in orbits for v in orbit]
+        assert len(allv) == len(set(allv)), N
+        primitive = {_canon((c1, c2), N) for c1 in range(N) for c2 in range(N)
+                     if gcd(gcd(c1, c2), N) == 1}
+        assert set(allv) == primitive, N
 
 
 def test_vector_eval_slash_equivariance():
@@ -175,3 +188,48 @@ def test_conjugate_cusp_indicators_are_conjugate():
     with mp.workdps(40):
         for e in range(13):
             assert abs(f13[e] - mp.conj(f23[e])) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
+def test_indicators_sum_to_e2(N):
+    """E2 is 1 at every cusp, so the indicators of all the cusps add up to it.
+
+    One orbit per cusp makes the value matrix square.
+    """
+    eb = basis_for_level(N, 64)
+    assert (eb.values.rows, eb.values.cols) == (len(eb.cusps), len(eb.cusps))
+    n_max = 15
+    total = sum((f for f in indicator_basis(N, n_max, 64).values()), FourierSeries.zero(n_max + 1))
+    e2 = e2_series(1, n_max)
+    for e in range(n_max + 1):
+        assert abs(total[e] - e2[e]) < mpf("1e-50"), (N, e)
+
+
+def _prime_power_factors(N):
+    out, p = [], 2
+    while N > 1:
+        e = 0
+        while N % p == 0:
+            N, e = N // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
+def test_infinity_indicator_is_e2_product(N):
+    """F^inf_N = prod over p^e || N of (p^2 E2(p^e z) - E2(p^(e-1) z))/(p^2 - 1).
+
+    The product multiplies the dilations, E2(d z) * E2(d' z) -> E2(d d' z).
+    """
+    weights = {1: Fraction(1)}
+    for p, e in _prime_power_factors(N):
+        factor = {p ** e: Fraction(p * p, p * p - 1), p ** (e - 1): Fraction(-1, p * p - 1)}
+        weights = {d * d2: w * w2 for d, w in weights.items() for d2, w2 in factor.items()}
+    n_max = 30
+    want = sum((w * e2_series(d, n_max) for d, w in weights.items()), FourierSeries.zero(n_max + 1))
+    f = infinity_indicator(N, n_max, 64)
+    for e in range(n_max + 1):
+        w = Fraction(want[e])
+        assert abs(f[e] - mpf(w.numerator) / w.denominator) < mpf("1e-50"), (N, e)

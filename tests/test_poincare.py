@@ -103,7 +103,7 @@ def test_petersson_reconstruction_small():
     volpi = float(lat.volume / mp.pi)
     a = an_array(model, 5)
     for n in range(1, 6):
-        got = volpi * bp_coefficient(1, 2, 11, n, 4000, bessel_argument=4.0).value
+        got = volpi * bp_coefficient(1, 2, 11, n, 4000).value
         assert abs(got - a[n]) < 2e-2, n
 
 
