@@ -16,6 +16,19 @@ pi^2/3.  The indicators are the columns of the inverse of this square (cusps x c
 value matrix, and a Richardson-extrapolated numerical limit up each cusp re-verifies
 them.
 
+q-expansion.  By the Lipschitz formula,
+
+    G2^v = [c1 = 0] kappa(c2)
+           - (4 pi^2/N^2) sum_{m>0, m = +-c1 (N)} sum_{r>=1} r zeta_N^{+-r c2} q^{rm/N},
+
+and zeta_N^{r c2} depends on r only mod N.  So a combination of orbit sums is
+expanded one row of (Z/N)^2 at a time: the coefficients of the signed vectors
+(+-c1, +-c2) in row m0 = +-c1 form a histogram H_{m0}(s) over s = +-c2, its discrete
+Fourier transform gives the row weights w_{m0}(t) for t mod N, and every m = m0 (N)
+then contributes r w_{m0}(r mod N) at q^{rm/N}.  The work is one q-series loop per
+row, whatever the number of vectors in it.  The fractional exponents cancel for an
+invariant combination; a survivor raises.
+
 The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} cannot separate
 same-denominator cusps at the non-squarefree levels, which is why the indicator
 construction works with the vector family instead; the tests keep that set as an
@@ -141,23 +154,6 @@ def _zeta_table(N: int, prec: int):
         return [mp.expjpi(mpf(2 * k) / N) for k in range(N)]
 
 
-def _vector_qexp_array(v, N: int, top: int, acc: list, coeff) -> None:
-    """Accumulate coeff * (nonconstant part of G2^v) into acc[rm] for rm < top.
-
-    By the Lipschitz formula, G2^v = [c1=0] kappa(c2)
-        - (4 pi^2/N^2) sum_{m>0, m=+-c1 (N)} sum_{r>=1} r zeta_N^{+-r c2} q^{rm/N}.
-    """
-    c1, c2 = v[0] % N, v[1] % N
-    zeta = _zeta_table(N, mp.prec)
-    pref = -4 * mp.pi ** 2 / N ** 2 * coeff
-    for sign in (1, -1):
-        m0 = (sign * c1) % N
-        sc2 = (sign * c2) % N
-        for m in range(m0 if m0 else N, top, N):
-            for r in range(1, (top - 1) // m + 1):
-                acc[r * m] += pref * r * zeta[(r * sc2) % N]
-
-
 def vector_eval(v, N: int, z, tol_digits: int, qpow: dict = None):
     """Numerical value of the completed G2^v at a point z in the upper half-plane.
 
@@ -221,18 +217,40 @@ class EisensteinBasis:
         return self._indicators
 
     def combo_qexp(self, combo: dict, n_max: int) -> FourierSeries:
-        """q-expansion of sum over orbits; fractional exponents must cancel."""
+        """q-expansion of sum over orbits; fractional exponents must cancel.
+
+        The combination is folded into one histogram per row m0 of (Z/N)^2 first:
+        H_{m0}(s) sums the coefficients of the signed vectors (+-c1, +-c2) = (m0, s).
+        The row weights w(t) = -(4 pi^2/N^2) sum_s H_{m0}(s) zeta_N^{ts}, for t mod N,
+        then carry the whole row, acc[r m] += r w(r mod N) for m = m0 (N), so the
+        q-series loop runs once per row, not once per vector.  The coefficients are
+        real, so w(N - t) = conj(w(t)).  Each row's weights live only while its
+        loop runs.
+        """
         N = self.level
         with mp.workdps(self.digits + 15):
+            rows = {}
+            const = mp.mpc(0)
+            for i, coeff in combo.items():
+                for c1, c2 in self.orbits[i]:
+                    if c1 % N == 0:
+                        const += coeff * _kappa(c2, N)
+                    for sign in (1, -1):
+                        hist = rows.setdefault((sign * c1) % N, {})
+                        s = (sign * c2) % N
+                        hist[s] = hist.get(s, 0) + coeff
             tol = mpf(10) ** (-(self.digits - 10))
             top = N * (n_max + 1)
             acc = [mp.mpc(0)] * top
-            const = mp.mpc(0)
-            for i, coeff in combo.items():
-                for v in self.orbits[i]:
-                    if v[0] % N == 0:
-                        const += coeff * _kappa(v[1], N)
-                    _vector_qexp_array(v, N, top, acc, coeff)
+            zeta = _zeta_table(N, mp.prec)
+            pref = -4 * mp.pi ** 2 / N ** 2
+            for m0, hist in rows.items():
+                w = [pref * mp.fsum(h * zeta[(t * s) % N] for s, h in hist.items())
+                     for t in range(N // 2 + 1)]
+                w += [mp.conj(w[N - t]) for t in range(len(w), N)]
+                for m in range(m0 if m0 else N, top, N):
+                    for r in range(1, (top - 1) // m + 1):
+                        acc[r * m] += r * w[r % N]
             scale = max(max(abs(x) for x in acc), abs(const), mpf(1))
             out = {0: const}
             for k, x in enumerate(acc):

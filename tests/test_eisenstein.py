@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +12,7 @@ from shiftedconv.eisenstein import (basis_for_level, cusp_count, cusp_orbit, enu
 from shiftedconv.series import FourierSeries
 
 from e2_oracle import cusp_constant, e2_series, raw_basis
+from vector_oracle import combo_qexp_per_vector
 
 EXPECTED_COUNTS = {11: 2, 14: 4, 15: 4, 17: 2, 19: 2, 21: 4, 27: 6, 32: 8, 36: 12, 49: 8}
 
@@ -198,11 +200,44 @@ def test_indicators_sum_to_e2(N):
     """
     eb = basis_for_level(N, 64)
     assert (eb.values.rows, eb.values.cols) == (len(eb.cusps), len(eb.cusps))
-    n_max = 15
+    n_max = 30
     total = sum((f for f in indicator_basis(N, n_max, 64).values()), FourierSeries.zero(n_max + 1))
     e2 = e2_series(1, n_max)
     for e in range(n_max + 1):
         assert abs(total[e] - e2[e]) < mpf("1e-50"), (N, e)
+
+
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
+def test_combo_qexp_matches_per_vector_oracle(N):
+    """The row-weight expansion equals the per-vector expansion through q^10.
+
+    Both work at digits + 15 = 79 digits and sum in different orders, so they agree
+    to 1e-75 relative.  At level 49 only the infinity and 1/7 indicators are expanded.
+    """
+    eb = basis_for_level(N, 64)
+    picked = [(c, combo) for c, combo in zip(eb.cusps, eb.indicator_combos())
+              if N != 49 or str(c) in ("oo", "1/7")]
+    n_max = 10
+    for cusp, combo in picked:
+        f = eb.combo_qexp(combo, n_max)
+        want = combo_qexp_per_vector(eb, combo, n_max)
+        for e in range(n_max + 1):
+            assert abs(f[e] - want[e]) <= mpf("1e-75") * max(abs(want[e]), 1), (N, str(cusp), e)
+
+
+def test_combo_qexp_rejects_a_broken_orbit():
+    """Dropping one vector from an orbit leaves a fractional exponent, and combo_qexp raises."""
+    N = 27
+    eb = basis_for_level(N, 64)
+    j = [str(c) for c in eb.cusps].index("1/3")
+    combo = eb.indicator_combos()[j]
+    broken = copy.copy(eb)
+    broken.orbits = [list(orbit) for orbit in eb.orbits]
+    (i,) = combo
+    broken.orbits[i].remove(next(v for v in broken.orbits[i] if v[0] % N))
+    with pytest.raises(ArithmeticError, match="non-integer exponent"):
+        broken.combo_qexp(combo, 3)
+    assert len(eb.orbits[i]) == 27
 
 
 def _prime_power_factors(N):
