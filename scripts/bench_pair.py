@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of a parent revision and the working tree, written to a BENCH file.
+"""Paired benchmark runs of a parent revision and a change, written to a BENCH file.
 
     python3 scripts/bench_pair.py --parent HEAD~1 --out BENCH_9.json forms=10 lseries=3
 
 For each workload W=K and each seed s = 1 .. K, runs the benchmark command of
 BENCHMARK.json (`python3 benchmark/run.py --workload W --seed s --seconds <run_seconds>
---trace 0`) once in an export of the parent revision and once in the working tree,
-alternating which side goes first.  The parent is exported with `git archive` into a
-temporary directory, which is removed afterwards.  The output file holds, per workload
-and side, every run's end-to-end metrics, `attempted`, `failed`, `correct` and its
-peak-RSS op, the median and quartiles of each metric, and per metric the number of
-pairs in which the working tree did better.
+--trace 0`) once on the parent and once on the change (default HEAD), alternating
+which side goes first.  Both revisions are exported with `git archive` into fresh
+temporary directories, removed afterwards, so that neither side runs with the build
+leftovers of a working tree: bytecode caches alone moved `lseries` op_s by 12% between
+two copies of one commit.  The output file holds, per workload and side, every run's
+end-to-end metrics, `attempted`, `failed`, `correct` and its peak-RSS op, the median
+and quartiles of each metric, and per metric the number of pairs in which the change
+did better.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ def summary(runs: list) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--change", default="HEAD", help="git revision to measure")
     p.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     p.add_argument("pairs", nargs="+", metavar="WORKLOAD=K", help="workload and number of pairs")
     args = p.parse_args(argv)
@@ -88,15 +91,16 @@ def main(argv=None) -> int:
     report = {
         "command": spec["command"], "run_seconds": spec["run_seconds"], "trace": 0,
         "parent": git("rev-parse", args.parent),
-        "change": git("rev-parse", "HEAD") + ("-dirty" if git("status", "--porcelain") else ""),
+        "change": git("rev-parse", args.change),
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version()},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, tree in trees.items():
+            tree.mkdir()
+            export(report[side], tree)
         for workload, k in plan:
             runs = {"parent": [], "change": []}
             for seed in range(1, k + 1):
