@@ -42,7 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 from mpmath import mp, mpf, mpc
 
@@ -224,27 +226,27 @@ class EisensteinBasis:
         The row weights w(t) = -(4 pi^2/N^2) sum_s H_{m0}(s) zeta_N^{ts}, for t mod N,
         then carry the whole row, acc[r m] += r w(r mod N) for m = m0 (N), so the
         q-series loop runs once per row, not once per vector.  The coefficients are
-        real, so w(N - t) = conj(w(t)).  Each row's weights live only while its
-        loop runs.
+        real, so w(N - t) = conj(w(t)).  The signed vectors are sorted by row, and
+        each row's histogram and weights live only while its loop runs.
         """
         N = self.level
         with mp.workdps(self.digits + 15):
-            rows = {}
             const = mp.mpc(0)
             for i, coeff in combo.items():
                 for c1, c2 in self.orbits[i]:
                     if c1 % N == 0:
                         const += coeff * _kappa(c2, N)
-                    for sign in (1, -1):
-                        hist = rows.setdefault((sign * c1) % N, {})
-                        s = (sign * c2) % N
-                        hist[s] = hist.get(s, 0) + coeff
+            signed = sorted(((sign * c1) % N, (sign * c2) % N, i) for i in combo
+                            for c1, c2 in self.orbits[i] for sign in (1, -1))
             tol = mpf(10) ** (-(self.digits - 10))
             top = N * (n_max + 1)
             acc = [mp.mpc(0)] * top
             zeta = _zeta_table(N, mp.prec)
             pref = -4 * mp.pi ** 2 / N ** 2
-            for m0, hist in rows.items():
+            for m0, row in groupby(signed, key=itemgetter(0)):
+                hist = {}
+                for _, s, i in row:
+                    hist[s] = hist.get(s, 0) + combo[i]
                 w = [pref * mp.fsum(h * zeta[(t * s) % N] for s, h in hist.items())
                      for t in range(N // 2 + 1)]
                 w += [mp.conj(w[N - t]) for t in range(len(w), N)]
