@@ -5,8 +5,8 @@
 
 For each workload W=K and each seed s = 1 .. K, runs the benchmark command of
 BENCHMARK.json (`python3 benchmark/run.py --workload W --seed s --seconds <run_seconds>
---trace 0`) once on the parent and once on the change (default HEAD), alternating
-which side goes first.  Both revisions are exported with `git archive` into fresh
+--trace 0`) once on the parent and once on the change, HEAD, alternating which side
+goes first.  Both revisions are exported with `git archive` into fresh
 temporary directories, removed afterwards, so that neither side runs with the build
 leftovers of a working tree: bytecode caches alone moved `lseries` op_s by 12% between
 two copies of one commit.  The output file holds, per workload and side, every run's
@@ -80,7 +80,6 @@ def summary(runs: list) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--change", default="HEAD", help="git revision to measure")
     p.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     p.add_argument("pairs", nargs="+", metavar="WORKLOAD=K", help="workload and number of pairs")
     args = p.parse_args(argv)
@@ -91,7 +90,7 @@ def main(argv=None) -> int:
     report = {
         "command": spec["command"], "run_seconds": spec["run_seconds"], "trace": 0,
         "parent": git("rev-parse", args.parent),
-        "change": git("rev-parse", args.change),
+        "change": git("rev-parse", "HEAD"),
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version()},
         "workloads": {},
