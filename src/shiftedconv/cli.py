@@ -120,15 +120,14 @@ def cmd_eisenstein(args):
 
 
 def cmd_poincare(args):
-    rows = []
-    for n in range(0 if args.maass else 1, args.n_max + 1):
-        if args.maass:
-            r = bq_coefficient(args.index, args.weight, args.level, n, args.c_max)
-        else:
-            if n == 0:
-                continue
-            r = bp_coefficient(args.index, args.weight, args.level, n, args.c_max)
-        rows.append({"n": n, "value": repr(r.value), "tail_estimate": repr(r.tail_estimate)})
+    if args.maass:
+        ns = range(0, args.n_max + 1)
+        coeffs = bq_coefficient(args.index, args.weight, args.level, ns, args.c_max)
+    else:
+        ns = range(1, args.n_max + 1)
+        coeffs = bp_coefficient(args.index, args.weight, args.level, ns, args.c_max)
+    rows = [{"n": n, "value": repr(r.value), "tail_estimate": repr(r.tail_estimate)}
+            for n, r in zip(ns, coeffs)]
     if args.format == "json":
         print(json.dumps(rows, indent=1))
     else:

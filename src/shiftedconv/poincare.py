@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from math import gcd
-from typing import NamedTuple
+from math import factorial, gcd, pi
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
-
-from .config import memo
 
 _TWO_PI = 2 * np.pi
 
@@ -32,31 +30,46 @@ def kloosterman(m: int, n: int, c: int):
     return total
 
 
-# -- fast float path for the c-sums -----------------------------------------
+# -- float path for the c-sums: one visit per modulus for all n ----------------------
 
-@memo
-def _unit_tables(c: int):
-    """(d, dbar) arrays over the units mod c, cached."""
-    ds = np.array([d for d in range(1, c) if gcd(d, c) == 1], dtype=np.int64)
-    dbars = np.array([pow(int(d), -1, c) for d in ds], dtype=np.int64)
+def _units(c: int):
+    """(d, dbar) int64 arrays over the units d mod c, d ascending.
+
+    dbar = d^(phi(c) - 1) mod c by square-and-multiply on the whole array; every
+    product stays below c^2 < 2^63.
+    """
+    r = np.arange(c, dtype=np.int64)
+    ds = r[np.gcd(r, c) == 1]
+    dbars = np.ones_like(ds) % c  # 1 mod c, which is 0 when c = 1
+    base, e = ds, len(ds) - 1
+    while e:
+        if e & 1:
+            dbars = dbars * base % c
+        base = base * base % c
+        e >>= 1
     return ds, dbars
 
 
-def kloosterman_float(m: int, n: int, c: int) -> float:
-    """Double-precision K(m, n; c) for the series assembly."""
-    if c == 1:
-        return 1.0
-    ds, dbars = _unit_tables(c)
-    ang = ((m * dbars + n * ds) % c) * (_TWO_PI / c)
-    return float(np.cos(ang).sum())
+def kloosterman_row(m: int, ns: np.ndarray, c: int) -> np.ndarray:
+    """Double-precision K(m, n; c) for every n in the int64 array `ns`.
+
+    Each sum gathers from one table of cos(2 pi j/c), j mod c, and adds up along its
+    row of the (len(ns) x phi(c)) array of residues m dbar + n d mod c.
+    """
+    ds, dbars = _units(c)
+    cos = np.cos(np.arange(c) * (_TWO_PI / c))
+    return cos[(m * dbars + ns[:, None] * ds) % c].sum(axis=1)
 
 
+# Bessel values at 53 bits, whatever the ambient mp.dps, so the float sums repeat exactly
 def _bessel_j(order: int, x: float) -> float:
-    return float(mp.besselj(order, x))
+    with mp.workprec(53):
+        return float(mp.besselj(order, x))
 
 
 def _bessel_i(order: int, x: float) -> float:
-    return float(mp.besseli(order, x))
+    with mp.workprec(53):
+        return float(mp.besseli(order, x))
 
 
 class CoefficientSum(NamedTuple):
@@ -64,60 +77,78 @@ class CoefficientSum(NamedTuple):
     tail_estimate: float
 
 
-def bp_coefficient(m: int, k: int, N: int, n: int, c_max: int) -> CoefficientSum:
-    """Fourier coefficient b_P(m, k, N; n) of the weight-k index-m Poincare series.
+def _c_series(m: int, ns: Sequence[int], N: int, c_max: int, term):
+    """Sum term(i, c, K(m, ns[i]; c)) over c = N, 2N, ... <= c_max for every i.
+
+    Returns (totals, tails); a tail is the accumulated magnitude of the terms of
+    the last decade, c > 0.9 c_max.
+    """
+    if N < 1:
+        raise ValueError("level must be positive")
+    rows = np.asarray(ns, dtype=np.int64)
+    totals = [0.0] * len(ns)
+    tails = [0.0] * len(ns)
+    for c in range(N, c_max + 1, N):
+        for i, kl in enumerate(kloosterman_row(m, rows, c).tolist()):
+            t = term(i, c, kl)
+            totals[i] += t
+            if c > 0.9 * c_max:
+                tails[i] += abs(t)
+    return totals, tails
+
+
+def bp_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
+    """Fourier coefficients b_P(m, k, N; n), n in `ns`, of the weight-k index-m Poincare series.
 
     (n/m)^{(k-1)/2} (delta_{mn} + 2 pi i^{-k} sum_{N | c <= c_max}
                      J_{k-1}(4 pi sqrt(mn)/c) K(m,n;c)/c)
 
-    in the classical Petersson normalization.  The tail estimate is the accumulated
-    magnitude of the last decade of c-terms.
+    in the classical Petersson normalization, one entry per index.  Each modulus c
+    is visited once for all n.  The tail estimate is the accumulated magnitude of
+    the last decade of c-terms.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be a positive even integer")
-    if m < 1 or n < 1:
+    if m < 1 or any(n < 1 for n in ns):
         raise ValueError("indices must be positive")
-    front = (n / m) ** ((k - 1) / 2)
     sign = (-1) ** (k // 2)  # i^{-k}
-    arg0 = 4 * np.pi * np.sqrt(m * n)
-    total = 0.0
-    tail = 0.0
-    for c in range(N, c_max + 1, N):
-        term = _bessel_j(k - 1, arg0 / c) * kloosterman_float(m, n, c) / c
-        total += term
-        if c > 0.9 * c_max:
-            tail += abs(term)
-    value = front * ((1.0 if m == n else 0.0) + 2 * np.pi * sign * total)
-    return CoefficientSum(value, front * 2 * np.pi * tail)
+    args = [4 * np.pi * np.sqrt(m * n) for n in ns]
+    totals, tails = _c_series(m, ns, N, c_max,
+                              lambda i, c, kl: _bessel_j(k - 1, args[i] / c) * kl / c)
+    out = []
+    for n, total, tail in zip(ns, totals, tails):
+        front = (n / m) ** ((k - 1) / 2)
+        value = front * ((1.0 if m == n else 0.0) + 2 * np.pi * sign * total)
+        out.append(CoefficientSum(value, front * 2 * np.pi * tail))
+    return out
 
 
-def bq_coefficient(m: int, k: int, N: int, n: int, c_max: int) -> CoefficientSum:
-    """Fourier coefficient b_Q(-m, k, N; n) of the index--m Maass-Poincare series.
+def bq_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
+    """Fourier coefficients b_Q(-m, k, N; n), n in `ns`, of the index--m Maass-Poincare series.
 
     n >= 1:  -2 pi (-1)^(k/2) (m/n)^{(k-1)/2} sum_{N|c} K(-m, n; c)/c I_{k-1}(4 pi sqrt(mn)/c)
     n == 0:  -(2^k pi^k (-1)^(k/2) m^{k-1}/(k-1)!) sum_{N|c} K(-m, 0; c)/c^k
+
+    One entry per index; each modulus c is visited once for all n.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be a positive even integer")
-    if m < 1 or n < 0:
+    if m < 1 or any(n < 0 for n in ns):
         raise ValueError("index must be positive and n nonnegative")
     sign = (-1) ** (k // 2)
-    total = 0.0
-    tail = 0.0
-    if n == 0:
-        from math import factorial, pi
-        front = -(2 ** k) * pi ** k * sign * m ** (k - 1) / factorial(k - 1)
-        for c in range(N, c_max + 1, N):
-            term = kloosterman_float(-m, 0, c) / c ** k
-            total += term
-            if c > 0.9 * c_max:
-                tail += abs(term)
-        return CoefficientSum(front * total, abs(front) * tail)
-    front = -2 * np.pi * sign * (m / n) ** ((k - 1) / 2)
-    arg0 = 4 * np.pi * np.sqrt(m * n)
-    for c in range(N, c_max + 1, N):
-        term = kloosterman_float(-m, n, c) / c * _bessel_i(k - 1, arg0 / c)
-        total += term
-        if c > 0.9 * c_max:
-            tail += abs(term)
-    return CoefficientSum(front * total, abs(front) * tail)
+    args = [4 * np.pi * np.sqrt(m * n) for n in ns]
+
+    def term(i, c, kl):
+        if ns[i] == 0:
+            return kl / c ** k
+        return kl / c * _bessel_i(k - 1, args[i] / c)
+
+    totals, tails = _c_series(-m, ns, N, c_max, term)
+    out = []
+    for n, total, tail in zip(ns, totals, tails):
+        if n == 0:
+            front = -(2 ** k) * pi ** k * sign * m ** (k - 1) / factorial(k - 1)
+        else:
+            front = -2 * np.pi * sign * (m / n) ** ((k - 1) / 2)
+        out.append(CoefficientSum(front * total, abs(front) * tail))
+    return out

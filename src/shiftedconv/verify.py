@@ -209,8 +209,8 @@ def check_poincare(cfg: PrecisionConfig) -> CheckResult:
         lat = build_lattice(model, cfg.digits)
         volpi = float(lat.volume / mp.pi)
     a = an_array(model, 10)
-    worst = max(abs(volpi * bp_coefficient(1, 2, 11, n, cfg.kloosterman_c_max).value - int(a[n]))
-                for n in range(1, 11))
+    bp = bp_coefficient(1, 2, 11, range(1, 11), cfg.kloosterman_c_max)
+    worst = max(abs(volpi * r.value - int(a[n])) for n, r in enumerate(bp, start=1))
     rt = time.time() - t0
     ok = worst <= 1e-2 and rt < 60
     return CheckResult("9-poincare-reconstruction",

@@ -5,8 +5,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from mpmath import mp, mpf
 
-from shiftedconv.poincare import (bp_coefficient, bq_coefficient, kloosterman,
-                                  kloosterman_float)
+import numpy as np
+
+from shiftedconv.poincare import (_bessel_i, _units, bp_coefficient, bq_coefficient,
+                                  kloosterman, kloosterman_row)
+
+from kloosterman_oracle import bp_per_n, bq_per_n, units_listing
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -53,25 +57,58 @@ def test_float_path_matches_mp_path():
     for (m, n, c) in [(1, 1, 11), (1, 3, 22), (-1, 2, 27), (2, 5, 36)]:
         with mp.workdps(25):
             precise = kloosterman(m, n, c)
-        assert abs(kloosterman_float(m, n, c) - float(precise)) < 1e-9, (m, n, c)
+        got = kloosterman_row(m, np.array([n]), c)[0]
+        assert abs(got - float(precise)) < 1e-9, (m, n, c)
+
+
+def test_units_match_gcd_listing():
+    for c in [*range(1, 2001), 9999, 10000]:
+        ds, dbars = _units(c)
+        want_ds, want_dbars = units_listing(c)
+        assert np.array_equal(ds, want_ds) and np.array_equal(dbars, want_dbars), c
+
+
+@pytest.mark.parametrize("N", [11, 49])
+def test_one_pass_matches_per_n_oracle(N):
+    ns = range(1, 11)
+    assert bp_coefficient(1, 2, N, ns, 2000) == [bp_per_n(1, 2, N, n, 2000) for n in ns]
+    ns = range(0, 6)
+    assert bq_coefficient(1, 2, N, ns, 2000) == [bq_per_n(1, 2, N, n, 2000) for n in ns]
+
+
+# I_1(4 pi sqrt(n)/c) at level 11 that round differently at dps 15 and dps 64, as (n, c)
+_FRAGILE_I = [(2, 2266), (3, 3432), (5, 649), (8, 4532)]
+
+
+def test_bessel_and_rows_independent_of_ambient_precision():
+    def run():
+        bessel = [_bessel_i(1, 4 * np.pi * np.sqrt(n) / c) for n, c in _FRAGILE_I]
+        return (bessel, bp_coefficient(1, 2, 11, range(1, 11), 2000),
+                bq_coefficient(1, 2, 11, [n for n, _ in _FRAGILE_I], 4600))
+    with mp.workdps(15):
+        low = run()
+    with mp.workdps(64):
+        high = run()
+    assert low == high
+    assert low[0][2] == 0.02165319235120504
 
 
 def test_bp_empty_sum_is_delta():
-    r = bp_coefficient(3, 2, 11, 3, 0)
+    r = bp_coefficient(3, 2, 11, [3], 0)[0]
     assert r.value == 1.0
-    r2 = bp_coefficient(1, 2, 11, 4, 0)
+    r2 = bp_coefficient(1, 2, 11, [4], 0)[0]
     assert r2.value == (4 / 1) ** 0.5 * 0.0
-    r3 = bp_coefficient(2, 4, 11, 2, 0)
+    r3 = bp_coefficient(2, 4, 11, [2], 0)[0]
     assert r3.value == 1.0
 
 
 def test_bq_empty_sum_vanishes():
-    assert bq_coefficient(1, 2, 11, 3, 0).value == 0.0
+    assert bq_coefficient(1, 2, 11, [3], 0)[0].value == 0.0
 
 
 def test_bq_constant_term_stable_under_cmax_doubling():
-    a = bq_coefficient(1, 2, 11, 0, 4000).value
-    b = bq_coefficient(1, 2, 11, 0, 8000).value
+    a = bq_coefficient(1, 2, 11, [0], 4000)[0].value
+    b = bq_coefficient(1, 2, 11, [0], 8000)[0].value
     assert abs(a - b) < 1e-4
     # frozen from the doubling oracle at c_max 1e4/2e4: -0.19999...
     assert abs(a + 0.2) < 1e-3
@@ -82,13 +119,12 @@ def test_bq_matches_mock_form_coefficients():
     from shiftedconv.mockform import zhat_plus
     mp.dps = 64
     z = zhat_plus(get_curve("11a1"), 4, 64)
-    for n in (1, 2, 3):
-        bq = bq_coefficient(1, 2, 11, n, 10_000)
+    for n, bq in enumerate(bq_coefficient(1, 2, 11, (1, 2, 3), 10_000), start=1):
         assert abs(bq.value - float(z[n])) < 1e-2, n
 
 
 def test_bp_tail_estimate_reported():
-    r = bp_coefficient(1, 2, 11, 2, 2000)
+    r = bp_coefficient(1, 2, 11, [2], 2000)[0]
     assert r.tail_estimate > 0
     assert r.tail_estimate < 1e-2
 
@@ -102,15 +138,19 @@ def test_petersson_reconstruction_small():
     lat = build_lattice(model, 40)
     volpi = float(lat.volume / mp.pi)
     a = an_array(model, 5)
-    for n in range(1, 6):
-        got = volpi * bp_coefficient(1, 2, 11, n, 4000).value
+    for n, bp in enumerate(bp_coefficient(1, 2, 11, range(1, 6), 4000), start=1):
+        got = volpi * bp.value
         assert abs(got - a[n]) < 2e-2, n
 
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        bp_coefficient(1, 3, 11, 1, 10)
+        bp_coefficient(1, 3, 11, [1], 10)
     with pytest.raises(ValueError):
-        bq_coefficient(1, 2, 11, -1, 10)
+        bq_coefficient(1, 2, 11, [0, -1], 10)
+    with pytest.raises(ValueError):
+        bp_coefficient(1, 2, 11, [1, 0], 10)
+    with pytest.raises(ValueError):
+        bp_coefficient(1, 2, 0, [1], 10)
     with pytest.raises(ValueError):
         kloosterman(1, 1, 0)
