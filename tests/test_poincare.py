@@ -3,9 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from mpmath import mp, mpf
-
 import numpy as np
+from mpmath import mp, mpf
 
 from shiftedconv.poincare import (_bessel_i, _units, bp_coefficient, bq_coefficient,
                                   kloosterman, kloosterman_row)
