@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import factorial, gcd, pi
+from math import factorial, gcd, inf, lcm, pi
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,13 +35,27 @@ def kloosterman(m: int, n: int, c: int):
 def _units(c: int):
     """(d, dbar) int64 arrays over the units d mod c, d ascending.
 
-    dbar = d^(phi(c) - 1) mod c by square-and-multiply on the whole array; every
-    product stays below c^2 < 2^63.
+    The units are what is left of 0..c-1 once the multiples of each prime p | c are
+    struck out.  dbar = d^(lambda(c) - 1) mod c, with lambda Carmichael's function, by
+    square-and-multiply on the whole array; every product stays below c^2 < 2^63.
     """
-    r = np.arange(c, dtype=np.int64)
-    ds = r[np.gcd(r, c) == 1]
+    mask = np.ones(c, dtype=bool)
+    lam, rest, p = 1, c, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            mask[::p] = False
+            lam_pe = p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 2 ** (e - 2)
+            lam = lcm(lam, lam_pe)
+        p += 1
+    ds = np.flatnonzero(mask).astype(np.int64)
     dbars = np.ones_like(ds) % c  # 1 mod c, which is 0 when c = 1
-    base, e = ds, len(ds) - 1
+    base, e = ds, lam - 1
     while e:
         if e & 1:
             dbars = dbars * base % c
@@ -61,15 +75,55 @@ def kloosterman_row(m: int, ns: np.ndarray, c: int) -> np.ndarray:
     return cos[(m * dbars + ns[:, None] * ds) % c].sum(axis=1)
 
 
-# Bessel values at 53 bits, whatever the ambient mp.dps, so the float sums repeat exactly
+def _bessel_series(order: int, x: float, sign: int) -> float:
+    """sum_k sign^k (x/2)^(2k+order) / (k! (k+order)!) for x >= 0, correctly rounded.
+
+    The terms are Python integers scaled by 2^B.  Each is the floor of the last one
+    times the exact ratio (x/2)^2 / (k (k+order)), so it falls short of the true term
+    by less than (k+1) max(1, P_k) <= (k+1) e^x units, P_k being the ratio of term k
+    to term 0.  The sum stops at the first zero term K past which every ratio is below
+    1/2, so the terms left out add up to at most the shortfall of term K, and the sum
+    is within (K+2)^2 e^x units of the series.  B starts at 64 bits plus what the
+    cancellation (e^x) and a small leading term (x/2)^order / order! cost, and doubles
+    until both ends of that error interval round to the same double (Ziv's strategy),
+    which is then the correctly rounded value.  No mpmath precision enters.
+    """
+    if x == 0:
+        return float(order == 0)
+    p, q = x.as_integer_ratio()
+    s = q.bit_length()  # x/2 = p / 2^s, as q is a power of two
+    p2, shift = p * p, 2 * s  # (x/2)^2 = p2 / 2^shift
+    stop = 2 * p2 >> shift  # past k (k+order) > 2 (x/2)^2 every ratio is below 1/2
+    cancel = int(x * 1.4426950408889634) + 2  # e^x < 2^cancel
+    lead = factorial(order)
+    # the leading term (x/2)^order / order! exceeds 2^-small
+    small = lead.bit_length() - order * (p.bit_length() - 1 - s)
+    bits = 64 + cancel + max(0, small)
+    while True:
+        term = (p ** order << bits) // (lead << s * order)
+        total, k = term, 0
+        while term or k * (k + order) <= stop:
+            k += 1
+            term = (term * p2 >> shift) // (k * (k + order))
+            total += -term if sign < 0 and k & 1 else term
+        err = (k + 2) ** 2 << cancel
+        try:
+            lo, hi = (total - err) / (1 << bits), (total + err) / (1 << bits)
+        except OverflowError:  # I_order(x) beyond the largest double
+            return inf
+        if lo == hi:
+            return lo
+        bits *= 2
+
+
 def _bessel_j(order: int, x: float) -> float:
-    with mp.workprec(53):
-        return float(mp.besselj(order, x))
+    """J_order(x) for x >= 0, correctly rounded to double."""
+    return _bessel_series(order, float(x), -1)
 
 
 def _bessel_i(order: int, x: float) -> float:
-    with mp.workprec(53):
-        return float(mp.besseli(order, x))
+    """I_order(x) for x >= 0, correctly rounded to double."""
+    return _bessel_series(order, float(x), 1)
 
 
 class CoefficientSum(NamedTuple):

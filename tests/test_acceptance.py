@@ -19,8 +19,8 @@ CFG = PrecisionConfig()
 
 @pytest.fixture(scope="module", autouse=True)
 def _dps():
-    mp.dps = CFG.digits
-    yield
+    with mp.workdps(CFG.digits):
+        yield
 
 
 def _run(check, *args):

@@ -4,6 +4,9 @@ import pytest
 from mpmath import mp
 
 from shiftedconv.cli import main
+from shiftedconv.eisenstein import _zeta_table, basis_for_level, infinity_indicator
+from shiftedconv.lattice import build_lattice
+from shiftedconv.mockform import zhat_plus
 
 
 def run(capsys, argv):
@@ -89,6 +92,30 @@ def test_output_does_not_depend_on_ambient_precision(capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert len(json.loads(outs[0])[1]["metadata"]["alpha"]) > 60
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--level", "11", "--n-max", "4", "--c-max", "400"],
+    ["poincare", "--level", "14", "--n-max", "3", "--c-max", "400", "--maass"],
+    ["coeffs", "--label", "15a1", "--n-max", "30"],
+    ["lattice", "--label", "17a1", "--digits", "40"],
+    ["mockform", "--label", "27a1", "--n-max", "8", "--digits", "32"],
+    ["eisenstein", "--level", "15", "--n-max", "6", "--digits", "32"],
+    ["verify", "--label", "27a1", "--digits", "40", "--terms", "2000", "--c-max", "200"],
+])
+def test_every_subcommand_ignores_ambient_precision(argv, capsys):
+    outs = []
+    for dps in (15, 100):
+        for fn in (build_lattice, zhat_plus, basis_for_level, infinity_indicator, _zeta_table):
+            fn.cache_clear()  # each run builds its objects at this ambient precision
+        with mp.workdps(dps):
+            code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0 or argv[0] == "verify"  # a check may fail at these sizes
+        outs.append(out)
+    if argv[0] == "verify":  # equal apart from the timings
+        outs = [[{k: v for k, v in check.items() if k != "runtime_s"} for check in json.loads(o)]
+                for o in outs]
+    assert outs[0] == outs[1]
 
 
 def test_lseries_csv(capsys):

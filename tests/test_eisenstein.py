@@ -19,8 +19,8 @@ EXPECTED_COUNTS = {11: 2, 14: 4, 15: 4, 17: 2, 19: 2, 21: 4, 27: 6, 32: 8, 36: 1
 
 @pytest.fixture(scope="module", autouse=True)
 def _dps():
-    mp.dps = 64
-    yield
+    with mp.workdps(64):
+        yield
 
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))

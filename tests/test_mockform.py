@@ -9,8 +9,8 @@ from shiftedconv.mockform import eta_derivative_series, eta_quotient, eta_unit, 
 
 @pytest.fixture(scope="module", autouse=True)
 def _dps():
-    mp.dps = 64
-    yield
+    with mp.workdps(64):
+        yield
 
 
 REF_ZHAT11 = {0: "1", 1: "0.9520", 2: "1.547", 3: "0.3493", 4: "1.976", 5: "-2.609"}

@@ -1,4 +1,4 @@
-import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +6,16 @@ import hypothesis.strategies as st
 import numpy as np
 from mpmath import mp, mpf
 
-from shiftedconv.poincare import (_bessel_i, _units, bp_coefficient, bq_coefficient,
-                                  kloosterman, kloosterman_row)
+from shiftedconv.poincare import (_bessel_i, _bessel_j, _units, bp_coefficient,
+                                  bq_coefficient, kloosterman, kloosterman_row)
 
 from kloosterman_oracle import bp_per_n, bq_per_n, units_listing
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _dps():
-    mp.dps = 30
-    yield
+    with mp.workdps(30):
+        yield
 
 
 def test_trivial_modulus():
@@ -61,7 +61,8 @@ def test_float_path_matches_mp_path():
 
 
 def test_units_match_gcd_listing():
-    for c in [*range(1, 2001), 9999, 10000]:
+    # 5^5, 3^8, 2^13 and 2^2 7^4 take each branch of the Carmichael exponent lambda(c)
+    for c in [*range(1, 2001), 3125, 6561, 8192, 9604, 9999, 10000]:
         ds, dbars = _units(c)
         want_ds, want_dbars = units_listing(c)
         assert np.array_equal(ds, want_ds) and np.array_equal(dbars, want_dbars), c
@@ -79,6 +80,11 @@ def test_one_pass_matches_per_n_oracle(N):
 _FRAGILE_I = [(2, 2266), (3, 3432), (5, 649), (8, 4532)]
 
 
+def _correctly_rounded(f, order, x):
+    with mp.workprec(300):
+        return float(f(order, x))
+
+
 def test_bessel_and_rows_independent_of_ambient_precision():
     def run():
         bessel = [_bessel_i(1, 4 * np.pi * np.sqrt(n) / c) for n, c in _FRAGILE_I]
@@ -89,7 +95,44 @@ def test_bessel_and_rows_independent_of_ambient_precision():
     with mp.workdps(64):
         high = run()
     assert low == high
-    assert low[0][2] == 0.02165319235120504
+    x = 4 * np.pi * np.sqrt(5) / 649
+    assert low[0][2] == _correctly_rounded(mp.besseli, 1, x)
+
+
+# arguments 4 pi sqrt(n)/c of the level-N c-sums at which mpmath's 53-bit I_1 is 1 ulp off
+_OFF_BY_ONE_I = [0.0041434594271484125, 0.006341955819000761, 0.006343448063785549,
+                 0.0073294666750418035, 0.007842688328611415, 0.008089413997144605,
+                 0.0098123664349499, 0.009914296342689682, 0.014320331791001987,
+                 0.01838781118511633, 0.043296238712115416]
+
+
+def _workload_arguments(k):
+    """A seeded sample of k arguments 4 pi sqrt(n)/c, n <= 10, N | c <= 6000, of the ten levels."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(k):
+        N = rng.choice([11, 14, 15, 17, 19, 21, 27, 32, 36, 49])
+        out.append(4 * np.pi * np.sqrt(rng.randint(1, 10)) / (N * rng.randint(1, 6000 // N)))
+    return out
+
+
+def test_bessel_series_correctly_rounded():
+    for x in [*_OFF_BY_ONE_I, *_workload_arguments(300)]:
+        assert _bessel_j(1, x) == _correctly_rounded(mp.besselj, 1, x), x
+        assert _bessel_i(1, x) == _correctly_rounded(mp.besseli, 1, x), x
+    with mp.workprec(53):
+        assert all(_bessel_i(1, x) != float(mp.besseli(1, x)) for x in _OFF_BY_ONE_I)
+    # higher orders and large arguments: index 40, n <= 40 at c = 11, and x up to 1300
+    # (I overflows to inf past about 713)
+    large = [4 * np.pi * np.sqrt(40 * n) / 11 for n in range(1, 41, 3)]
+    large += list(np.linspace(50, 1300, 12))
+    for order in (1, 3, 5):
+        for x in large:
+            assert _bessel_j(order, x) == _correctly_rounded(mp.besselj, order, x), (order, x)
+            assert _bessel_i(order, x) == _correctly_rounded(mp.besseli, order, x), (order, x)
+    assert _bessel_i(1, 1300.0) == float("inf")
+    assert _bessel_j(0, 0.0) == _bessel_i(0, 0.0) == 1.0
+    assert _bessel_j(1, 0.0) == _bessel_i(3, 0.0) == 0.0
 
 
 def test_bp_empty_sum_is_delta():
@@ -116,10 +159,10 @@ def test_bq_constant_term_stable_under_cmax_doubling():
 def test_bq_matches_mock_form_coefficients():
     from shiftedconv.curves import get_curve
     from shiftedconv.mockform import zhat_plus
-    mp.dps = 64
-    z = zhat_plus(get_curve("11a1"), 4, 64)
-    for n, bq in enumerate(bq_coefficient(1, 2, 11, (1, 2, 3), 10_000), start=1):
-        assert abs(bq.value - float(z[n])) < 1e-2, n
+    with mp.workdps(64):
+        z = zhat_plus(get_curve("11a1"), 4, 64)
+        for n, bq in enumerate(bq_coefficient(1, 2, 11, (1, 2, 3), 10_000), start=1):
+            assert abs(bq.value - float(z[n])) < 1e-2, n
 
 
 def test_bp_tail_estimate_reported():

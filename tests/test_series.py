@@ -80,9 +80,9 @@ def test_shift():
 
 
 def test_to_mp_exactness():
-    mp.dps = 40
-    f = S({1: Fraction(1, 3)}, 3).to_mp()
-    assert abs(f[1] - mpf(1) / 3) < mpf(10) ** -38
+    with mp.workdps(40):
+        f = S({1: Fraction(1, 3)}, 3).to_mp()
+        assert abs(f[1] - mpf(1) / 3) < mpf(10) ** -38
 
 
 small_series = st.builds(

@@ -11,8 +11,8 @@ N_TERMS = 100_000
 
 @pytest.fixture(scope="module", autouse=True)
 def _dps():
-    mp.dps = 64
-    yield
+    with mp.workdps(64):
+        yield
 
 
 def test_support_modulus():
