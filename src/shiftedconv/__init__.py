@@ -6,7 +6,7 @@ from .eisenstein import enumerate_cusps, indicator_basis, infinity_indicator
 from .lattice import Lattice, build_lattice, compute_periods, g_numbers
 from .mockform import zhat_plus, eta_quotient
 from .newform import an_coefficients, ap_point_count, eichler_integral
-from .poincare import kloosterman, bp_coefficient, bq_coefficient
+from .poincare import bp_coefficient, bq_coefficient
 from .series import FourierSeries
 from .shifted import (ShiftedConvolutionTable, d_direct, l_series_closed_form,
                       alpha_constant, hol_projection_hat, support_modulus)
@@ -18,7 +18,7 @@ __all__ = [
     "Lattice", "build_lattice", "compute_periods", "g_numbers",
     "zhat_plus", "eta_quotient",
     "an_coefficients", "ap_point_count", "eichler_integral",
-    "kloosterman", "bp_coefficient", "bq_coefficient",
+    "bp_coefficient", "bq_coefficient",
     "FourierSeries", "ShiftedConvolutionTable", "d_direct",
     "l_series_closed_form", "alpha_constant", "hol_projection_hat",
     "support_modulus", "verify_all",

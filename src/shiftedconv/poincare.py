@@ -6,31 +6,25 @@ from math import factorial, gcd, inf, lcm, pi
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 _TWO_PI = 2 * np.pi
 
 
-def kloosterman(m: int, n: int, c: int):
-    """K(m, n; c) = sum over units d mod c of exp(2 pi i (m dbar + n d)/c).
+def _factors(c: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing c, p ascending, by trial division."""
+    out, rest, p = [], c, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    return out
 
-    Exact-angle evaluation at the current mpmath precision; the result is real up to
-    rounding (d <-> -d pairing) and symmetric in (m, n).
-    """
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if c == 1:
-        return mp.mpf(1)
-    total = mp.mpf(0)
-    for d in range(1, c):
-        if gcd(d, c) != 1:
-            continue
-        dbar = pow(d, -1, c)
-        total += mp.cospi(mpf(2 * ((m * dbar + n * d) % c)) / c)
-    return total
-
-
-# -- float path for the c-sums: one visit per modulus for all n ----------------------
 
 def _units(c: int):
     """(d, dbar) int64 arrays over the units d mod c, d ascending.
@@ -40,19 +34,10 @@ def _units(c: int):
     square-and-multiply on the whole array; every product stays below c^2 < 2^63.
     """
     mask = np.ones(c, dtype=bool)
-    lam, rest, p = 1, c, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            mask[::p] = False
-            lam_pe = p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 2 ** (e - 2)
-            lam = lcm(lam, lam_pe)
-        p += 1
+    lam = 1
+    for p, e in _factors(c):
+        mask[::p] = False
+        lam = lcm(lam, p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 2 ** (e - 2))
     ds = np.flatnonzero(mask).astype(np.int64)
     dbars = np.ones_like(ds) % c  # 1 mod c, which is 0 when c = 1
     base, e = ds, lam - 1
@@ -64,15 +49,42 @@ def _units(c: int):
     return ds, dbars
 
 
-def kloosterman_row(m: int, ns: np.ndarray, c: int) -> np.ndarray:
+def _kloosterman_table(g: int, q: int) -> np.ndarray:
+    """K(g, t; q) for t = 0 .. q-1: the DFT of e(-g dbar/q) over the units d mod q.
+
+    K(g, t; q) is real, so it equals sum_d e(-(g dbar + t d)/q), entry t of the DFT.
+    """
+    ds, dbars = _units(q)
+    u = np.zeros(q, dtype=complex)
+    u[ds] = np.exp(-1j * (_TWO_PI / q) * (g * dbars % q))
+    return np.fft.fft(u).real.copy()  # not a view that keeps the complex array alive
+
+
+def kloosterman_row(m: int, ns: np.ndarray, c: int, tables: dict | None = None) -> np.ndarray:
     """Double-precision K(m, n; c) for every n in the int64 array `ns`.
 
-    Each sum gathers from one table of cos(2 pi j/c), j mod c, and adds up along its
-    row of the (len(ns) x phi(c)) array of residues m dbar + n d mod c.
+    K(m, n; c) is the product over the prime powers q || c of K(m rbar, n rbar; q),
+    where rbar is the inverse of c/q mod q (twisted multiplicativity).  Write
+    m rbar = g a mod q with g = gcd(m rbar, q); a is then a unit mod q, and
+    substituting d -> a d turns the factor into K(g, a rbar n; q).  It is read from
+    the table of K(g, t; q), t mod q, kept in `tables` under (q, g) and built on
+    first use; a caller that passes one dict for many moduli builds each table once.
     """
-    ds, dbars = _units(c)
-    cos = np.cos(np.arange(c) * (_TWO_PI / c))
-    return cos[(m * dbars + ns[:, None] * ds) % c].sum(axis=1)
+    if c < 1:
+        raise ValueError("modulus must be positive")
+    if tables is None:
+        tables = {}
+    out = np.ones(len(ns))
+    for p, e in _factors(c):
+        q = p ** e
+        rbar = pow(c // q, -1, q)
+        a = m * rbar % q
+        g = gcd(a, q)  # q when a = 0
+        table = tables.get((q, g))
+        if table is None:
+            table = tables[q, g] = _kloosterman_table(g, q)
+        out *= table[(a // g or 1) * rbar % q * ns % q]
+    return out
 
 
 def _bessel_series(order: int, x: float, sign: int) -> float:
@@ -135,15 +147,17 @@ def _c_series(m: int, ns: Sequence[int], N: int, c_max: int, term):
     """Sum term(i, c, K(m, ns[i]; c)) over c = N, 2N, ... <= c_max for every i.
 
     Returns (totals, tails); a tail is the accumulated magnitude of the terms of
-    the last decade, c > 0.9 c_max.
+    the last decade, c > 0.9 c_max.  The Kloosterman tables are shared by the moduli
+    of this call and dropped when it returns.
     """
     if N < 1:
         raise ValueError("level must be positive")
     rows = np.asarray(ns, dtype=np.int64)
     totals = [0.0] * len(ns)
     tails = [0.0] * len(ns)
+    tables = {}
     for c in range(N, c_max + 1, N):
-        for i, kl in enumerate(kloosterman_row(m, rows, c).tolist()):
+        for i, kl in enumerate(kloosterman_row(m, rows, c, tables).tolist()):
             t = term(i, c, kl)
             totals[i] += t
             if c > 0.9 * c_max:

@@ -1,21 +1,43 @@
-"""The per-n Kloosterman float path of the Poincare c-sums, kept as a test oracle.
+"""Kloosterman sums and the per-n c-sums of the Poincare series, kept as test oracles.
 
-`poincare.bp_coefficient` and `bq_coefficient` visit each modulus once for all n,
-with numpy unit tables and one cosine table per modulus.  This module lists the
-units with `gcd` and `pow`, sums K(m, n; c) for one n at a time and runs one c-sum
-per n, as the package did before, so the two can be compared bit for bit.  The
-listing starts at d = 0, which is a unit only for c = 1, so K(m, n; 1) = 1 needs
-no special case.
+`poincare.bp_coefficient` and `bq_coefficient` visit each modulus once for all n
+and read K(m, n; c) as a product of DFT tables over the prime powers of c.  This
+module sums K(m, n; c) directly over the units of c instead: `kloosterman` in
+mpmath at the ambient precision, `kloosterman_float` in double precision from
+units listed with `gcd` and `pow`.  `bp_per_n` and `bq_per_n` run one c-sum per n
+with `kloosterman_float`.  The two paths add up different roundings, so they agree
+to a tolerance, not bit for bit.  The listing starts at d = 0, which is a unit only
+for c = 1, so K(m, n; 1) = 1 needs no special case.
 """
 
 from functools import cache
 from math import factorial, gcd, pi
 
 import numpy as np
+from mpmath import mp, mpf
 
 from shiftedconv.poincare import CoefficientSum, _bessel_i, _bessel_j
 
 _TWO_PI = 2 * np.pi
+
+
+def kloosterman(m: int, n: int, c: int):
+    """K(m, n; c) = sum over units d mod c of exp(2 pi i (m dbar + n d)/c).
+
+    Exact-angle evaluation at the current mpmath precision; the result is real up to
+    rounding (d <-> -d pairing) and symmetric in (m, n).
+    """
+    if c < 1:
+        raise ValueError("modulus must be positive")
+    if c == 1:
+        return mp.mpf(1)
+    total = mp.mpf(0)
+    for d in range(1, c):
+        if gcd(d, c) != 1:
+            continue
+        dbar = pow(d, -1, c)
+        total += mp.cospi(mpf(2 * ((m * dbar + n * d) % c)) / c)
+    return total
 
 
 @cache

@@ -7,9 +7,10 @@ import numpy as np
 from mpmath import mp, mpf
 
 from shiftedconv.poincare import (_bessel_i, _bessel_j, _units, bp_coefficient,
-                                  bq_coefficient, kloosterman, kloosterman_row)
+                                  bq_coefficient, kloosterman_row)
 
-from kloosterman_oracle import bp_per_n, bq_per_n, units_listing
+from kloosterman_oracle import (bp_per_n, bq_per_n, kloosterman, kloosterman_float,
+                                units_listing)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -68,12 +69,42 @@ def test_units_match_gcd_listing():
         assert np.array_equal(ds, want_ds) and np.array_equal(dbars, want_dbars), c
 
 
+# m = 2, 6 and -4 share factors with many moduli; n = 0 gives Ramanujan sums
+_MS = (1, -1, 2, 6, -4)
+_NS = np.array([0, 1, 5, 12], dtype=np.int64)
+
+
+def test_factored_kloosterman_matches_mp_path():
+    # every c <= 60, the prime powers 2^9, 3^6, 7^3, and 4235 = 5 7 11^2, 2310 = 2 3 5 7 11
+    with mp.workdps(20):
+        for c in [*range(1, 61), 512, 729, 343, 4235, 2310]:
+            for m in _MS:
+                got = kloosterman_row(m, _NS, c)
+                for n, kl in zip(_NS.tolist(), got.tolist()):
+                    assert abs(kl - float(kloosterman(m, n, c))) < 1e-12, (m, n, c)
+
+
+def test_factored_kloosterman_matches_listing():
+    # n up to 10^6 keeps the int64 residues t n mod q in range
+    ns = np.array([*_NS, 999_983, 10 ** 6], dtype=np.int64)
+    for c in range(1, 2001):
+        tables = {}
+        for m in (1, -1, 6):
+            got = kloosterman_row(m, ns, c, tables)
+            want = [kloosterman_float(m, n, c) for n in ns.tolist()]
+            assert np.max(np.abs(got - want)) < 1e-12, (m, c)
+
+
 @pytest.mark.parametrize("N", [11, 49])
 def test_one_pass_matches_per_n_oracle(N):
+    # the two paths round K(m, n; c) differently, by about 1e-15 in b_P and b_Q
+    def close(got, want):
+        return all(abs(g.value - w.value) < 1e-12 and abs(g.tail_estimate - w.tail_estimate) < 1e-12
+                   for g, w in zip(got, want, strict=True))
     ns = range(1, 11)
-    assert bp_coefficient(1, 2, N, ns, 2000) == [bp_per_n(1, 2, N, n, 2000) for n in ns]
+    assert close(bp_coefficient(1, 2, N, ns, 2000), [bp_per_n(1, 2, N, n, 2000) for n in ns])
     ns = range(0, 6)
-    assert bq_coefficient(1, 2, N, ns, 2000) == [bq_per_n(1, 2, N, n, 2000) for n in ns]
+    assert close(bq_coefficient(1, 2, N, ns, 2000), [bq_per_n(1, 2, N, n, 2000) for n in ns])
 
 
 # I_1(4 pi sqrt(n)/c) at level 11 that round differently at dps 15 and dps 64, as (n, c)
@@ -196,3 +227,5 @@ def test_weight_validation():
         bp_coefficient(1, 2, 0, [1], 10)
     with pytest.raises(ValueError):
         kloosterman(1, 1, 0)
+    with pytest.raises(ValueError):
+        kloosterman_row(1, _NS, 0)
