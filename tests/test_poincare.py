@@ -85,7 +85,7 @@ def test_factored_kloosterman_matches_mp_path():
 
 
 def test_factored_kloosterman_matches_listing():
-    # n up to 10^6 keeps the int64 residues t n mod q in range
+    # n up to 10^6 checks that the int64 products t n stay in range
     ns = np.array([*_NS, 999_983, 10 ** 6], dtype=np.int64)
     for c in range(1, 2001):
         tables = {}
