@@ -161,8 +161,7 @@ def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
     N = model.conductor
     with mp.workdps(digits + 10):
         eb = basis_for_level(N, digits + 10)
-        combos = eb.indicator_combos()
-        inds = [eb.combo_qexp(c, h_max) for c in combos]
+        inds = eb.indicator_qexps(h_max)
         if target is None:
             target = hol_projection_hat(model, h_max, digits, n_terms_for_d)
         f = an_coefficients(model, h_max).to_mp()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import mpmath
@@ -270,9 +271,7 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
             eb = basis_for_level(N, cfg.digits)
             combos = eb.indicator_combos()
             k = len(eb.cusps)
-            pairs = [(i, j) for i in range(k) for j in range(k)] if k <= 6 else \
-                    [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
-            for i, j in pairs:
+            for i, j in product(range(k), repeat=2):
                 v = eb.cusp_constant_numeric(combos[i], eb.cusps[j], 40)
                 worst = max(worst, abs(v - (1 if i == j else 0)))
     out.append(CheckResult("10e-indicator-delta", "indicator basis hits delta values to 1e-10",

@@ -1,18 +1,21 @@
 import copy
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf, mpc
 
 from shiftedconv.eisenstein import (basis_for_level, cusp_count, cusp_orbit, enumerate_cusps,
-                                    indicator_basis, infinity_indicator, vector_eval,
-                                    _canon, _scaling_matrix)
+                                    indicator_basis, infinity_indicator,
+                                    _canon, _scaling_matrix, _vanishes_at_zeta, _zeta_table)
 
 from shiftedconv.series import FourierSeries
 
 from e2_oracle import cusp_constant, e2_series, raw_basis
-from vector_oracle import combo_qexp_per_vector
+from vector_oracle import combo_qexp_per_vector, cusp_constant_per_vector, vector_eval
 
 EXPECTED_COUNTS = {11: 2, 14: 4, 15: 4, 17: 2, 19: 2, 21: 4, 27: 6, 32: 8, 36: 12, 49: 8}
 
@@ -164,14 +167,31 @@ def test_indicator_f_infinity_27_e2_oracle():
 
 
 def test_indicator_delta_property_numeric():
-    for N in (11, 14, 27):
+    """Every indicator is 1 at its own cusp and 0 at every other, as a numerical cusp limit."""
+    for N in sorted(EXPECTED_COUNTS):
         eb = basis_for_level(N, 64)
         combos = eb.indicator_combos()
         k = len(eb.cusps)
-        for i in range(k):
-            for j in range(k):
-                v = eb.cusp_constant_numeric(combos[i], eb.cusps[j], 40)
-                assert abs(v - (1 if i == j else 0)) < mpf("1e-10"), (N, i, j)
+        for i, j in product(range(k), repeat=2):
+            v = eb.cusp_constant_numeric(combos[i], eb.cusps[j], 40)
+            assert abs(v - (1 if i == j else 0)) < mpf("1e-10"), (N, i, j)
+
+
+@pytest.mark.parametrize("N", (11, 27, 36, 49))
+def test_cusp_constant_matches_per_vector_oracle(N):
+    """The row-grouped cusp limit equals one vector_eval per slashed vector.
+
+    The pairs are each indicator at its own cusp and at the next one, and the
+    infinity indicator at the last cusp.
+    """
+    eb = basis_for_level(N, 64)
+    combos = eb.indicator_combos()
+    k = len(eb.cusps)
+    pairs = {(i, j) for i in range(k) for j in (i, (i + 1) % k)} | {(0, k - 1)}
+    for i, j in sorted(pairs):
+        got = eb.cusp_constant_numeric(combos[i], eb.cusps[j], 40)
+        want = cusp_constant_per_vector(eb, combos[i], eb.cusps[j], 40)
+        assert abs(got - want) < mpf("1e-35"), (N, i, j)
 
 
 def test_indicator_rational_recovery_diagnostic():
@@ -226,18 +246,61 @@ def test_combo_qexp_matches_per_vector_oracle(N):
 
 
 def test_combo_qexp_rejects_a_broken_orbit():
-    """Dropping one vector from an orbit leaves a fractional exponent, and combo_qexp raises."""
-    N = 27
-    eb = basis_for_level(N, 64)
-    j = [str(c) for c in eb.cusps].index("1/3")
-    combo = eb.indicator_combos()[j]
-    broken = copy.copy(eb)
-    broken.orbits = [list(orbit) for orbit in eb.orbits]
-    (i,) = combo
-    broken.orbits[i].remove(next(v for v in broken.orbits[i] if v[0] % N))
-    with pytest.raises(ArithmeticError, match="non-integer exponent"):
-        broken.combo_qexp(combo, 3)
-    assert len(eb.orbits[i]) == 27
+    """Dropping one vector from an orbit leaves a fractional exponent, and combo_qexp raises.
+
+    The orbits broken are those of the cusps 1/3 at level 27 and 1/7 at level 49.
+    """
+    for N, cusp in ((27, "1/3"), (49, "1/7")):
+        eb = basis_for_level(N, 64)
+        j = [str(c) for c in eb.cusps].index(cusp)
+        combo = eb.indicator_combos()[j]
+        assert j in combo, (N, cusp)
+        broken = copy.copy(eb)
+        broken.orbits = [list(orbit) for orbit in eb.orbits]
+        size = len(eb.orbits[j])
+        broken.orbits[j].remove(next(v for v in broken.orbits[j] if v[0] % N))
+        with pytest.raises(ArithmeticError, match="non-integer exponent"):
+            broken.combo_qexp(combo, 3)
+        assert len(eb.orbits[j]) == size
+        eb.combo_qexp(combo, 3)
+
+
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS) + [2, 30, 210])
+def test_vanishing_at_zeta_is_reduction_modulo_phi(N):
+    """sum_{j<p} zeta_p^j reduces to 0 modulo Phi_N for each prime p | N; zeta_N^j alone does not.
+
+    Multiples of sum_j x^(jN/p), hence of Phi_N, vanish too, and on those and on
+    random integer rows the exact test agrees with the numerical value at zeta_N.
+    """
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+    for p in primes:
+        row = np.zeros(N, dtype=np.int64)
+        row[::N // p] = 1
+        assert _vanishes_at_zeta(row[None, :], N).all(), (N, p)
+    assert not _vanishes_at_zeta(np.eye(N, dtype=np.int64), N).any(), N
+    b = np.random.default_rng(N).integers(-3, 4, size=(20, N))
+    p = primes[-1]
+    multiples = sum(np.roll(b, j * (N // p), axis=1) for j in range(p))
+    rows = np.concatenate([multiples, b])
+    with mp.workdps(30):
+        zeta = _zeta_table(N, mp.prec)
+        numeric = [abs(mp.fsum(h * zeta[t] for t, h in enumerate(row))) < mpf("1e-20")
+                   for row in rows.tolist()]
+    assert numeric[:20] == [True] * 20
+    assert _vanishes_at_zeta(rows, N).tolist() == numeric
+
+
+def test_indicator_basis_memory_at_level_49():
+    """Every array of the expansion stays O(N (n_max + 1) N); the traced peak is below 1.5 MiB."""
+    for fn in (basis_for_level, infinity_indicator, _zeta_table):
+        fn.cache_clear()
+    tracemalloc.start()
+    try:
+        indicator_basis(49, 30, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20, peak
 
 
 def _prime_power_factors(N):

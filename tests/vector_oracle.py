@@ -1,14 +1,54 @@
-"""The per-vector q-expansion of a vector Eisenstein orbit sum, kept as a test oracle.
+"""Per-vector evaluations of the vector Eisenstein orbit sums, kept as test oracles.
 
-`EisensteinBasis.combo_qexp` folds a combination into one histogram per row of
-(Z/N)^2 and expands each row once.  This module expands every vector separately,
-by the Lipschitz formula, as the package did before, so the two can be compared
-term by term.
+`EisensteinBasis` counts each orbit's signed vectors in one histogram per row of
+(Z/N)^2: `orbit_qexp` expands the histogram over Z[zeta_N] in exact integers, and
+`cusp_constant_numeric` reads the slashed histogram, one q-series per row.  This
+module takes every vector separately, in mpmath, as the package did before:
+`combo_qexp_per_vector` expands each vector by the Lipschitz formula, and
+`cusp_constant_per_vector` evaluates each slashed vector with `vector_eval`.  So the
+two can be compared term by term.
 """
 
-from mpmath import mp
+from mpmath import mp, mpf, mpc
 
-from shiftedconv.eisenstein import _kappa, _zeta_table
+from shiftedconv.eisenstein import _kappa, _scaling_matrix, _zeta_table
+
+
+def vector_eval(v, N: int, z, tol_digits: int, qpow: dict = None):
+    """Numerical value of the completed G2^v at a point z in the upper half-plane.
+
+    `qpow` optionally shares e^{2 pi i m z / N} powers between calls at the same z.
+    """
+    c1, c2 = v[0] % N, v[1] % N
+    if qpow is None:
+        qpow = {}
+    if 1 not in qpow:
+        qpow[1] = mp.expjpi(2 * z / N)
+    q1n = qpow[1]
+    tol = mpf(10) ** (-tol_digits)
+    total = mp.mpc(0)
+    if c1 == 0:
+        total += _kappa(c2, N)
+    zeta = _zeta_table(N, mp.prec)
+    pref = -4 * mp.pi ** 2 / N ** 2
+    for sign in (1, -1):
+        m0 = (sign * c1) % N
+        sc2 = (sign * c2) % N
+        m = m0 if m0 else N
+        while True:
+            if m not in qpow:
+                qpow[m] = q1n ** m
+            qm = qpow[m]
+            if abs(qm) * m * 4 < tol * (1 - abs(q1n) ** N):
+                break
+            r = 1
+            qrm = qm
+            while abs(qrm) * r * 4 > tol:
+                total += pref * r * zeta[(r * sc2) % N] * qrm
+                r += 1
+                qrm *= qm
+            m += N
+    return total - mp.pi / (N * N * z.imag)
 
 
 def _vector_qexp_array(v, N: int, top: int, acc: list, coeff) -> None:
@@ -45,3 +85,22 @@ def combo_qexp_per_vector(basis, combo: dict, n_max: int) -> list:
                     const += coeff * _kappa(v[1], N)
                 _vector_qexp_array(v, N, top, acc, coeff)
         return [const] + [acc[N * e] for e in range(1, n_max + 1)]
+
+
+def cusp_constant_per_vector(basis, combo: dict, cusp, digits: int):
+    """`EisensteinBasis.cusp_constant_numeric` with one `vector_eval` per slashed vector."""
+    N = basis.level
+    a, b, c, d = _scaling_matrix(cusp)
+    with mp.workdps(digits + 10):
+        y0 = mpf(N) * (digits * 2.303 / 6.283 + 4)
+        vals = []
+        for k in (1, 2, 4):
+            z = mpc(0, y0 * k)
+            qpow = {}
+            tot = mp.mpc(0)
+            for i, coeff in combo.items():
+                for v in basis.orbits[i]:
+                    w = ((v[0] * a + v[1] * c) % N, (v[0] * b + v[1] * d) % N)
+                    tot += coeff * vector_eval(w, N, z, digits + 8, qpow)
+            vals.append(tot)
+        return 2 * vals[2] - vals[1]
