@@ -229,9 +229,9 @@ def test_indicators_sum_to_e2(N):
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
 def test_combo_qexp_matches_per_vector_oracle(N):
-    """The row-weight expansion equals the per-vector expansion through q^10.
+    """The exact integer expansion equals the per-vector mp expansion through q^10.
 
-    Both work at digits + 15 = 79 digits and sum in different orders, so they agree
+    Both end at digits + 15 = 79 digits and round in different places, so they agree
     to 1e-75 relative.  At level 49 only the infinity and 1/7 indicators are expanded.
     """
     eb = basis_for_level(N, 64)
