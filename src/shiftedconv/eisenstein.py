@@ -175,41 +175,49 @@ def _kappa_sum(row0: np.ndarray, N: int):
     return mp.fsum(h * _kappa(s, N) for s, h in enumerate(row0.tolist()) if h) / 2
 
 
-def _expansion_rows(rows: np.ndarray, N: int, n_max: int) -> np.ndarray:
-    """A[k][t] for k < N (n_max + 1): the histogram's series is -(4 pi^2/N^2) sum_k (sum_t A[k][t] zeta_N^t) q^{k/N}.
+def _expansion_rows(rows: np.ndarray, N: int, n_max: int):
+    """(g, A) with A[k/g][t] for the k < N (n_max + 1) divisible by g: the histogram's
+    series is -(4 pi^2/N^2) sum_k (sum_t A[k/g][t] zeta_N^t) q^{k/N}.
 
-    Every pair (r, m) of positive integers with rm < N (n_max + 1) adds r rows[m mod N, s]
-    at t = rs mod N.  The pairs are visited by a = min(r, m), a^2 < N (n_max + 1): r = a
-    with every m >= a (the histogram dilated by a), and m = a with every r > a (row
-    a mod N dilated by each residue of r).  Both land on the rows a, 2a, ... of A, a
-    strided view, which is updated BLOCK rows at a time.  A dilation is one bincount
-    over the cells (row, t s mod N); its float64 weights are small integers.
+    g is the gcd of N and the rows m0 the histogram uses (the cusp's denominator c
+    for its orbit, N for infinity), so every m = m0 (N) is g mu and every exponent
+    k = r m is a multiple of g.  Every pair (r, mu) of positive integers with
+    r mu < (N/g) (n_max + 1) adds r rows[g mu mod N, s] at t = rs mod N.  The pairs
+    are visited by a = min(r, mu), a^2 < (N/g) (n_max + 1): r = a with every mu >= a
+    (the histogram dilated by a), and mu = a with every r > a (row g a mod N dilated
+    by each residue of r).  Both land on the rows a, 2a, ... of A, a strided view,
+    which is updated BLOCK rows at a time.  A dilation is one bincount over the cells
+    (row, t s mod N); its float64 weights are small integers.
 
-    An entry of A is at most sigma(k) < k (1 + ln k) times the largest row total of
-    the histogram, so A is int32 whenever that bound allows.
+    An entry of A is at most sigma(k/g) < (k/g) (1 + ln(k/g)) times the largest row
+    total of the histogram, so A is int32 whenever that bound allows.
     """
-    top = N * (n_max + 1)
+    g = gcd(N, *np.flatnonzero(rows.any(axis=1)).tolist())
+    period = N // g
+    rows = rows[g * np.arange(period)]
+    top = period * (n_max + 1)
     bound = int(rows.sum(axis=1).max()) * top * (1 + log(top))
     A = np.zeros((top, N), dtype=np.int32 if bound < 2 ** 31 else np.int64)
-    base = N * np.arange(N)[:, None]
     times = (np.arange(N)[:, None] * np.arange(N)) % N       # times[t, s] = t s mod N
 
     def dilate(cells, weights):
-        return np.bincount(cells.ravel(), weights.ravel(), N * N).astype(np.int64).reshape(N, N)
+        n = len(cells)
+        cells = N * np.arange(n)[:, None] + cells
+        return np.bincount(cells.ravel(), weights.ravel(), n * N).astype(np.int64).reshape(n, N)
 
     a = 1
     while a * a < top:
-        by_r = a * dilate(base + times[a % N], rows)
-        by_m = dilate(base + times, np.broadcast_to(rows[a % N], (N, N)))
+        by_r = a * dilate(np.broadcast_to(times[a % N], (period, N)), rows)
+        by_m = dilate(times, np.broadcast_to(rows[a % period], (N, N)))
         end = (top - 1) // a + 1
         for lo in range(a, end, BLOCK):
-            ms = np.arange(lo, min(lo + BLOCK, end))
-            view = A[a * lo: a * ms[-1] + 1: a]
-            view += by_r[ms % N]
-            view += ms[:, None] * by_m[ms % N]
-        A[a * a] -= a * by_m[a % N]         # the pair r = m = a is already in by_r
+            mus = np.arange(lo, min(lo + BLOCK, end))
+            view = A[a * lo: a * mus[-1] + 1: a]
+            view += by_r[mus % period]
+            view += mus[:, None] * by_m[mus % N]
+        A[a * a] -= a * by_m[a % N]         # the pair r = mu = a is already in by_r
         a += 1
-    return A
+    return g, A
 
 
 def _psi(N: int) -> list:
@@ -320,11 +328,11 @@ class EisensteinBasis:
         """
         N = self.level
         rows = _signed_rows(self.orbits[i], N)
-        A = _expansion_rows(rows, N, n_max)
-        fractional = ~_vanishes_at_zeta(A, N).reshape(n_max + 1, N)
+        g, A = _expansion_rows(rows, N, n_max)
+        fractional = ~_vanishes_at_zeta(A, N).reshape(n_max + 1, N // g)
         fractional[:, 0] = False
         if fractional.any():
-            k = int(np.flatnonzero(fractional)[0])
+            k = g * int(np.flatnonzero(fractional)[0])
             raise ArithmeticError(f"level {N}: non-integer exponent {Fraction(k, N)} survived "
                                   f"in orbit {i}; the orbit sum is not invariant")
         with mp.workdps(self.digits + 15):
@@ -332,7 +340,7 @@ class EisensteinBasis:
             pref = -4 * mp.pi ** 2 / N ** 2
             return [_kappa_sum(rows[0], N)] + [
                 pref * mp.fsum(h * zeta[t] for t, h in enumerate(row) if h)
-                for row in A[N::N].tolist()]
+                for row in A[N // g::N // g].tolist()]
 
     def _combine(self, combo: dict, series: dict, n_max: int) -> FourierSeries:
         """sum_i coeff_i series[i] as a FourierSeries; imaginary parts at roundoff level are dropped."""
