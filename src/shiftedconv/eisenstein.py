@@ -34,11 +34,13 @@ row 0 and one q-series per row.
 
 The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} cannot separate
 same-denominator cusps at the non-squarefree levels, which is why the indicator
-construction works with the vector family instead; the tests keep that set as an
-independent oracle.
+construction works with the vector family instead.  Infinity is the only cusp of
+denominator N, though, so its indicator F^inf_N does lie in that span, and
+`infinity_indicator` returns it exactly from E2(dz); the closed form uses nothing
+else of this module, and the basis's infinity column is its independent oracle.
 
-Every entry point takes the working precision `digits` explicitly; bases and
-indicators are cached per (level, digits).
+The basis takes the working precision `digits` explicitly and is cached per
+(level, digits); guard digits appear only inside `mp.workdps`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .config import memo
+from .poincare import _factors
 from .series import FourierSeries
 
 
@@ -102,20 +105,13 @@ def enumerate_cusps(N: int) -> tuple:
     return tuple(cusps)
 
 
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return (abs(a), (1 if a >= 0 else -1, 0))
-    g, (x, y) = _ext_gcd(b, a % b)
-    return g, (y, x - (a // b) * y)
-
-
 def _scaling_matrix(cusp: Cusp):
     """sigma in SL2(Z) with sigma(infinity) = cusp."""
     if cusp.is_infinity:
         return (1, 0, 0, 1)
-    _, (x, y) = _ext_gcd(cusp.a, cusp.c)
-    # a*x + c*y = 1  ->  det [[a, -y],[c, x]] = 1
-    return (cusp.a, -y, cusp.c, x)
+    a, c = cusp.a, cusp.c
+    x = pow(a, -1, c)       # a x = 1 (c), so det [[a, (a x - 1)/c], [c, x]] = 1
+    return (a, (a * x - 1) // c, c, x)
 
 
 # -- vector Eisenstein family ----------------------------------------------
@@ -227,13 +223,7 @@ def _psi(N: int) -> list:
     over the squarefree e | N with an odd number of prime factors, divided exactly by
     that over the e > 1 with an even number.
     """
-    primes, n, p = [], N, 2
-    while n > 1:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
+    primes = [p for p, _ in _factors(N)]
     poly, divisors = [1], []
     for size in range(1, len(primes) + 1):
         for ps in combinations(primes, size):
@@ -353,10 +343,6 @@ class EisensteinBasis:
                      for e, x in enumerate(out) if e == 0 or x != 0}
         return FourierSeries(clean, n_max + 1)
 
-    def combo_qexp(self, combo: dict, n_max: int) -> FourierSeries:
-        """q-expansion of sum over orbits i of combo[i] * (orbit i's sum), each orbit by `orbit_qexp`."""
-        return self._combine(combo, {i: self.orbit_qexp(i, n_max) for i in combo}, n_max)
-
     def indicator_qexps(self, n_max: int) -> list:
         """q-expansions of the indicators in cusp order; each orbit is expanded once."""
         used = sorted(set().union(*self._indicators))
@@ -405,8 +391,23 @@ def indicator_basis(N: int, n_max: int, digits: int) -> dict:
     return dict(zip(eb.cusps, eb.indicator_qexps(n_max)))
 
 
-@memo
-def infinity_indicator(N: int, n_max: int, digits: int) -> FourierSeries:
-    """F^infinity_{N,2}: 1 at the infinite cusp, 0 at all other cusps."""
-    eb = basis_for_level(N, digits)
-    return eb.combo_qexp(eb.indicator_combos()[0], n_max)
+def infinity_indicator(N: int, n_max: int) -> FourierSeries:
+    """F^infinity_{N,2}, 1 at the infinite cusp and 0 at all other cusps, in exact rationals.
+
+    It is prod over p^e || N of (p^2 E2(p^e z) - E2(p^(e-1) z))/(p^2 - 1), the product
+    multiplying dilations, E2(d z) E2(d' z) -> E2(d d' z).  The weights of the E2(d z)
+    sum to 1, and E2(d z) = 1 - 24 sum sigma_1(n) q^(d n) with sigma_1 from one sieve.
+    """
+    weights = {1: Fraction(1)}
+    for p, e in _factors(N):
+        local = {p ** e: Fraction(p * p, p * p - 1), p ** (e - 1): Fraction(-1, p * p - 1)}
+        weights = {d * d2: w * w2 for d, w in weights.items() for d2, w2 in local.items()}
+    sigma1 = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for n in range(d, n_max + 1, d):
+            sigma1[n] += d
+    coeffs = {0: 1}
+    for d, w in weights.items():
+        for n in range(1, n_max // d + 1):
+            coeffs[d * n] = coeffs.get(d * n, 0) - 24 * w * sigma1[n]
+    return FourierSeries(coeffs, n_max + 1)

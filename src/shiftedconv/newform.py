@@ -60,7 +60,6 @@ def _nonsingular_count(model: EllipticCurveModel, p: int) -> int:
     return count
 
 
-@memo
 def ap_point_count(model: EllipticCurveModel, p: int) -> int:
     """Trace of Frobenius a_p; for bad p the split/nonsplit/additive code in {1,-1,0}."""
     if model.conductor % p == 0:

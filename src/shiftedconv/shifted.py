@@ -104,7 +104,7 @@ def alpha_fitted(model: EllipticCurveModel, n_terms_for_d: int, digits: int):
     with mp.workdps(digits + 10):
         lat = build_lattice(model, digits)
         fz1 = f_zhat_product(model, 2, digits)[1]
-        finf1 = infinity_indicator(model.conductor, 2, digits + 10)[1]
+        finf1 = infinity_indicator(model.conductor, 2).to_mp()[1]
         d11 = d_direct(model, 1, n_terms_for_d).value
         return fz1 - (mp.pi / lat.volume) * d11 - finf1
 
@@ -116,7 +116,7 @@ def hol_projection_hat(model: EllipticCurveModel, h_max: int, digits: int,
         if alpha is None:
             alpha = alpha_constant(model, n_terms_for_d, digits)
         f = an_coefficients(model, h_max).to_mp()
-        finf = infinity_indicator(model.conductor, h_max, digits + 10)
+        finf = infinity_indicator(model.conductor, h_max).to_mp()
         return (f * alpha + finf).truncate(h_max + 1)
 
 
@@ -131,10 +131,8 @@ def l_series_closed_form(model: EllipticCurveModel, h_max: int, digits: int,
         lat = build_lattice(model, digits)
         if alpha is None:
             alpha = alpha_constant(model, n_terms_for_d, digits)
-        fz = f_zhat_product(model, h_max, digits)
-        f = an_coefficients(model, h_max).to_mp()
-        finf = infinity_indicator(model.conductor, h_max, digits + 10)
-        combo = fz - f * alpha - finf
+        combo = (f_zhat_product(model, h_max, digits)
+                 - hol_projection_hat(model, h_max, digits, alpha=alpha))
         if combo.leading_exponent < 0:
             raise ArithmeticError("assembly produced negative powers")
         if abs(combo[0]) > mpf(10) ** (-10):
@@ -160,7 +158,7 @@ def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
     """
     N = model.conductor
     with mp.workdps(digits + 10):
-        eb = basis_for_level(N, digits + 10)
+        eb = basis_for_level(N, digits)
         inds = eb.indicator_qexps(h_max)
         if target is None:
             target = hol_projection_hat(model, h_max, digits, n_terms_for_d)

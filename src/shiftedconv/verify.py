@@ -35,7 +35,7 @@ class CheckResult:
 
 
 def _str(x, digits=12):
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, Fraction, str)):
         return str(x)
     if isinstance(x, float):
         return repr(x)
@@ -114,29 +114,29 @@ def check_eta_derivative(cfg: PrecisionConfig) -> CheckResult:
 
 def check_f_infinity_11(cfg: PrecisionConfig) -> CheckResult:
     t0 = time.time()
-    with mp.workdps(cfg.digits):
-        f = infinity_indicator(11, 7, cfg.digits)
-        want = [Fraction(1), Fraction(1, 5), Fraction(3, 5), Fraction(4, 5),
-                Fraction(7, 5), Fraction(6, 5), Fraction(12, 5)]
-        worst = max(abs(f[n] - mpf(w.numerator) / w.denominator) for n, w in enumerate(want))
-    ok = worst <= mpf("1e-10")
+    f = infinity_indicator(11, 7)
+    want = [Fraction(1), Fraction(1, 5), Fraction(3, 5), Fraction(4, 5),
+            Fraction(7, 5), Fraction(6, 5), Fraction(12, 5)]
+    worst = max(abs(f[n] - w) for n, w in enumerate(want))
+    ok = worst == 0
     return CheckResult("6a-f-infinity-11", "F^inf_{11,2} first seven coefficients",
                        ok, {"worst": _str(worst, 3)}, time.time() - t0)
 
 
 def check_f_infinity_27(cfg: PrecisionConfig) -> CheckResult:
-    """Asserts the anchors 3, 9, -15 at q^9, q^18, q^27 of the unique indicator.
+    """Asserts the exact anchors 3, 9, -15 at q^9, q^18, q^27 of the unique indicator.
 
     Reference tables print -12 at q^27; that value is an erratum.  The indicator is
-    -(1/8) E2(9z) + (9/8) E2(27z), whose q^27 coefficient is 3 sigma_1(3) - 27 = -15
-    (the E2 oracle in tests/test_eisenstein.py), and check 6c shows that the
-    closed form built on -12 misses direct summation of D(27;1) by 3 vol/pi.
+    -(1/8) E2(9z) + (9/8) E2(27z), whose q^27 coefficient is 3 sigma_1(3) - 27 = -15;
+    `infinity_indicator` computes it in exact rationals from that E2 product, the
+    vector-orbit basis of tests/test_eisenstein.py agrees with it numerically, and
+    check 6c shows that the closed form built on -12 misses direct summation of
+    D(27;1) by 3 vol/pi.
     """
     t0 = time.time()
-    with mp.workdps(cfg.digits):
-        f = infinity_indicator(27, 28, cfg.digits)
-        devs = {9: abs(f[9] - 3), 18: abs(f[18] - 9), 27: abs(f[27] - (-15))}
-    ok = max(devs.values()) <= mpf("1e-10")
+    f = infinity_indicator(27, 28)
+    devs = {9: abs(f[9] - 3), 18: abs(f[18] - 9), 27: abs(f[27] - (-15))}
+    ok = max(devs.values()) == 0
     details = {("dev_q%d" % n): _str(d, 3) for n, d in devs.items()}
     details["stated_q27"] = f"{F27_STATED_Q27} (erratum, see 6c)"
     return CheckResult("6b-f-infinity-27", "F^inf_{27,2} anchors 3, 9, -15 at q^9, q^18, q^27",
@@ -156,7 +156,7 @@ def check_f_infinity_27_adjudication(cfg: PrecisionConfig) -> CheckResult:
         tab = l_series_closed_form(model, 27, cfg.digits)
         dv = d_direct(model, 27, cfg.direct_terms)
         resid = abs(float(tab.entries[27]) - dv.value)
-        f27 = infinity_indicator(27, 28, cfg.digits)[27]
+        f27 = infinity_indicator(27, 28)[27]
         vol_pi = build_lattice(model, cfg.digits).volume / mp.pi
         stated = tab.entries[27] + vol_pi * (f27 - F27_STATED_Q27)
         resid_stated = abs(float(stated) - dv.value)

@@ -1,10 +1,11 @@
 """The textbook weight-2 Eisenstein spanning set, kept as a test oracle.
 
 {E2(z)} u {E2(z) - d E2(dz) : d | N, d > 1} with exact q-expansions, and the
-numerical cusp limits of completed E2-combinations.  Nothing in the package uses
-it: it cannot separate same-denominator cusps at the non-squarefree levels, so the
-indicator basis is built from vector Eisenstein orbits instead, and these forms
-check that construction independently.
+numerical cusp limits of completed E2-combinations.  The package builds only the
+infinity indicator from E2(dz) (`eisenstein.infinity_indicator`, with its own
+sigma_1 sieve); this span cannot separate same-denominator cusps at the
+non-squarefree levels, so the other indicators come from vector Eisenstein
+orbits, and these forms check both constructions independently.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from math import gcd
 
 from mpmath import mp, mpf, mpc
 
-from shiftedconv.eisenstein import Cusp, _ext_gcd, _scaling_matrix
+from shiftedconv.eisenstein import Cusp, _scaling_matrix
 from shiftedconv.series import FourierSeries
 
 
@@ -64,6 +65,14 @@ def _e2_star_value(w):
         qn *= q
         n += 1
     return 1 - 24 * total - 3 / (mp.pi * w.imag)
+
+
+def _ext_gcd(a: int, b: int):
+    """(g, (x, y)) with a x + b y = g = gcd(a, b)."""
+    if b == 0:
+        return (abs(a), (1 if a >= 0 else -1, 0))
+    g, (x, y) = _ext_gcd(b, a % b)
+    return g, (y, x - (a // b) * y)
 
 
 def _hnf_triple(m11: int, m12: int, m21: int, m22: int):

@@ -7,10 +7,11 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from shiftedconv.curves import get_curve, load_registry
-from shiftedconv.eisenstein import _zeta_table, basis_for_level, infinity_indicator
+import shiftedconv.newform
+from shiftedconv.eisenstein import _zeta_table, basis_for_level, indicator_basis
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
-from shiftedconv.newform import _an_table, an_array, ap_point_count
+from shiftedconv.newform import _an_table, an_array
 from shiftedconv.shifted import l_series_closed_form
 
 
@@ -40,7 +41,7 @@ def _bits(x):
 
 def _closed_form_objects():
     model = get_curve("11a1")
-    finf = infinity_indicator(11, 12, digits=40)
+    finf = next(iter(indicator_basis(11, 12, 40).values()))      # the infinity indicator
     lat = build_lattice(model, 64)
     tab = l_series_closed_form(model, 5, 64, alpha=0)
     return ([_bits(finf[e]) for e in range(13)],
@@ -52,7 +53,7 @@ def _closed_form_objects():
 def test_results_do_not_depend_on_ambient_precision_or_call_order():
     results = []
     for order in ((15, 100), (100, 15)):
-        for fn in (infinity_indicator, basis_for_level, _zeta_table, build_lattice, zhat_plus):
+        for fn in (basis_for_level, _zeta_table, build_lattice, zhat_plus):
             fn.cache_clear()
         for dps in order:
             with mp.workdps(dps):
@@ -60,16 +61,23 @@ def test_results_do_not_depend_on_ambient_precision_or_call_order():
     assert all(r == results[0] for r in results)
 
 
-def test_an_table_serves_prefixes_and_counts_each_prime_once():
+def test_an_table_serves_prefixes_and_counts_each_prime_once(monkeypatch):
     builtin = get_curve("11a1")
     model = replace(builtin, label="11a1 (prefix test)")      # a fresh cache key
-    counts = ap_point_count.hits, ap_point_count.misses
+    counted = []
+    point_count = shiftedconv.newform.ap_point_count
+
+    def counting(m, p):
+        counted.append(p)
+        return point_count(m, p)
+
+    monkeypatch.setattr(shiftedconv.newform, "ap_point_count", counting)
     tables = _an_table.hits, _an_table.misses
     first = an_array(model, 1_000)
     full = an_array(model, 20_000)
     short = an_array(model, 500)
     n_primes = sum(1 for p in range(2, 20_001) if all(p % d for d in range(2, isqrt(p) + 1)))
-    assert (ap_point_count.hits - counts[0], ap_point_count.misses - counts[1]) == (0, n_primes)
+    assert (len(counted) - len(set(counted)), len(counted)) == (0, n_primes)
     assert (_an_table.hits - tables[0], _an_table.misses - tables[1]) == (2, 1)
 
     assert len(first) == 1_001 and len(full) == 20_001 and len(short) == 501
@@ -77,3 +85,11 @@ def test_an_table_serves_prefixes_and_counts_each_prime_once():
     assert np.array_equal(first, full[:1_001]) and np.array_equal(short, full[:501])
     one_shot = an_array(replace(builtin, label="11a1 (one-shot)"), 20_000)
     assert np.array_equal(full, one_shot)
+
+
+def test_closed_form_builds_no_eisenstein_basis():
+    """The closed form reads F^inf from its exact E2 product, so no basis is built."""
+    misses = basis_for_level.misses
+    tab = l_series_closed_form(get_curve("49a1"), 7, 50)
+    assert basis_for_level.misses == misses
+    assert len(tab.entries) == 7

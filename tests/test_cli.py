@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 
 from shiftedconv.cli import main
-from shiftedconv.eisenstein import _zeta_table, basis_for_level, infinity_indicator
+from shiftedconv.eisenstein import _zeta_table, basis_for_level
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
 
@@ -106,7 +106,7 @@ def test_output_does_not_depend_on_ambient_precision(capsys):
 def test_every_subcommand_ignores_ambient_precision(argv, capsys):
     outs = []
     for dps in (15, 100):
-        for fn in (build_lattice, zhat_plus, basis_for_level, infinity_indicator, _zeta_table):
+        for fn in (build_lattice, zhat_plus, basis_for_level, _zeta_table):
             fn.cache_clear()  # each run builds its objects at this ambient precision
         with mp.workdps(dps):
             code, out, _ = run(capsys, [*argv, "--format", "json"])

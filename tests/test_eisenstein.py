@@ -114,11 +114,10 @@ def test_vector_eval_slash_equivariance():
 
 
 def test_indicator_f_infinity_11_reference_values():
-    f = infinity_indicator(11, 7, 64)
+    f = infinity_indicator(11, 7)
     want = [Fraction(1), Fraction(1, 5), Fraction(3, 5), Fraction(4, 5),
             Fraction(7, 5), Fraction(6, 5), Fraction(12, 5)]
-    for n, w in enumerate(want):
-        assert abs(f[n] - mpf(w.numerator) / w.denominator) < mpf("1e-10"), n
+    assert [f[n] for n in range(7)] == want
 
 
 def test_indicator_f_infinity_27_computed_values():
@@ -129,13 +128,9 @@ def test_indicator_f_infinity_27_computed_values():
     (test_indicator_f_infinity_27_e2_oracle), and direct summation of D(27;1)
     rules out -12 (acceptance check 6c).
     """
-    f = infinity_indicator(27, 28, 64)
-    assert abs(f[9] - 3) < mpf("1e-10")
-    assert abs(f[18] - 9) < mpf("1e-10")
-    assert abs(f[27] + 15) < mpf("1e-10")
-    for e in range(1, 28):
-        if e % 9:
-            assert abs(f[e]) < mpf("1e-40"), e
+    f = infinity_indicator(27, 28)
+    assert (f[9], f[18], f[27]) == (3, 9, -15)
+    assert all(f[e] == 0 for e in range(1, 28) if e % 9)
 
 
 def test_indicator_f_infinity_27_e2_oracle():
@@ -144,7 +139,7 @@ def test_indicator_f_infinity_27_e2_oracle():
     The E2* cusp limits show the combination is 1 at infinity and 0 at the five
     other cusps of Gamma0(27), so it is the unique indicator; its q-expansion
     1 + 3 sum sigma_1(n) q^{9n} - 27 sum sigma_1(n) q^{27n} must then agree with
-    the orbit construction term by term.
+    the exact product and the orbit construction term by term.
     """
     weights = {9: Fraction(-1, 8), 27: Fraction(9, 8)}
     for c in enumerate_cusps(27):
@@ -160,10 +155,12 @@ def test_indicator_f_infinity_27_e2_oracle():
         for n in range(1, n_max // d + 1):
             want[d * n] = want.get(d * n, 0) - 24 * w * sigma1(n)
     assert want[27] == -15
-    f = infinity_indicator(27, n_max, 64)
+    f = infinity_indicator(27, n_max)
+    assert all(f[e] == want.get(e, 0) for e in range(n_max + 1))
+    orbits = indicator_basis(27, n_max, 64)[enumerate_cusps(27)[0]]
     for e in range(n_max + 1):
         w = want.get(e, 0)
-        assert abs(f[e] - mpf(w.numerator) / w.denominator) < mpf("1e-40"), e
+        assert abs(orbits[e] - mpf(w.numerator) / w.denominator) < mpf("1e-40"), e
 
 
 def test_indicator_delta_property_numeric():
@@ -195,7 +192,8 @@ def test_cusp_constant_matches_per_vector_oracle(N):
 
 
 def test_indicator_rational_recovery_diagnostic():
-    f = infinity_indicator(11, 7, 64)
+    """The vector-orbit infinity indicator at level 11 is rational to roundoff."""
+    f = indicator_basis(11, 7, 64)[enumerate_cusps(11)[0]]
     for n in range(7):
         r = Fraction(float(f[n])).limit_denominator(10 ** 6)
         assert r.denominator <= 5
@@ -229,40 +227,44 @@ def test_indicators_sum_to_e2(N):
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
 def test_combo_qexp_matches_per_vector_oracle(N):
-    """The exact integer expansion equals the per-vector mp expansion through q^10.
+    """`indicator_qexps`, from the exact integer expansion, equals the per-vector mp
+    expansion of each indicator's combination through q^10.
 
     Both end at digits + 15 = 79 digits and round in different places, so they agree
-    to 1e-75 relative.  At level 49 only the infinity and 1/7 indicators are expanded.
+    to 1e-75 relative.  At level 49 only the infinity and 1/7 indicators are compared.
     """
     eb = basis_for_level(N, 64)
-    picked = [(c, combo) for c, combo in zip(eb.cusps, eb.indicator_combos())
-              if N != 49 or str(c) in ("oo", "1/7")]
     n_max = 10
-    for cusp, combo in picked:
-        f = eb.combo_qexp(combo, n_max)
+    picked = [(c, combo, f) for c, combo, f in
+              zip(eb.cusps, eb.indicator_combos(), eb.indicator_qexps(n_max))
+              if N != 49 or str(c) in ("oo", "1/7")]
+    for cusp, combo, f in picked:
         want = combo_qexp_per_vector(eb, combo, n_max)
         for e in range(n_max + 1):
             assert abs(f[e] - want[e]) <= mpf("1e-75") * max(abs(want[e]), 1), (N, str(cusp), e)
 
 
 def test_combo_qexp_rejects_a_broken_orbit():
-    """Dropping one vector from an orbit leaves a fractional exponent, and combo_qexp raises.
+    """Dropping one vector from an orbit leaves a fractional exponent, and orbit_qexp
+    raises, as does every indicator expansion that uses the orbit.
 
     The orbits broken are those of the cusps 1/3 at level 27 and 1/7 at level 49.
     """
     for N, cusp in ((27, "1/3"), (49, "1/7")):
         eb = basis_for_level(N, 64)
         j = [str(c) for c in eb.cusps].index(cusp)
-        combo = eb.indicator_combos()[j]
-        assert j in combo, (N, cusp)
+        assert j in eb.indicator_combos()[j], (N, cusp)
         broken = copy.copy(eb)
         broken.orbits = [list(orbit) for orbit in eb.orbits]
         size = len(eb.orbits[j])
         broken.orbits[j].remove(next(v for v in broken.orbits[j] if v[0] % N))
         with pytest.raises(ArithmeticError, match="non-integer exponent"):
-            broken.combo_qexp(combo, 3)
+            broken.orbit_qexp(j, 3)
+        with pytest.raises(ArithmeticError, match="non-integer exponent"):
+            broken.indicator_qexps(3)
         assert len(eb.orbits[j]) == size
-        eb.combo_qexp(combo, 3)
+        eb.orbit_qexp(j, 3)
+        eb.indicator_qexps(3)
 
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS) + [2, 30, 210])
@@ -292,7 +294,7 @@ def test_vanishing_at_zeta_is_reduction_modulo_phi(N):
 
 def test_indicator_basis_memory_at_level_49():
     """Every array of the expansion stays O(N (n_max + 1) N); the traced peak is below 1.5 MiB."""
-    for fn in (basis_for_level, infinity_indicator, _zeta_table):
+    for fn in (basis_for_level, _zeta_table):
         fn.cache_clear()
     tracemalloc.start()
     try:
@@ -319,7 +321,9 @@ def _prime_power_factors(N):
 def test_infinity_indicator_is_e2_product(N):
     """F^inf_N = prod over p^e || N of (p^2 E2(p^e z) - E2(p^(e-1) z))/(p^2 - 1).
 
-    The product multiplies the dilations, E2(d z) * E2(d' z) -> E2(d d' z).
+    The product multiplies the dilations, E2(d z) * E2(d' z) -> E2(d d' z).  It
+    equals the oracle's E2 series exactly, and the infinity column of the
+    vector-orbit basis to its roundoff.
     """
     weights = {1: Fraction(1)}
     for p, e in _prime_power_factors(N):
@@ -327,7 +331,11 @@ def test_infinity_indicator_is_e2_product(N):
         weights = {d * d2: w * w2 for d, w in weights.items() for d2, w2 in factor.items()}
     n_max = 30
     want = sum((w * e2_series(d, n_max) for d, w in weights.items()), FourierSeries.zero(n_max + 1))
-    f = infinity_indicator(N, n_max, 64)
-    for e in range(n_max + 1):
-        w = Fraction(want[e])
-        assert abs(f[e] - mpf(w.numerator) / w.denominator) < mpf("1e-50"), (N, e)
+    f = infinity_indicator(N, n_max)
+    assert f == want
+    assert f.coefficient_mode == "exact-rational"
+    orbits = indicator_basis(N, n_max, 64)[enumerate_cusps(N)[0]]
+    with mp.workdps(100):
+        for e in range(n_max + 1):
+            w = f[e]
+            assert abs(orbits[e] - mpf(w.numerator) / w.denominator) <= mpf("1e-75"), (N, e)
