@@ -123,11 +123,14 @@ def _canon(v, N):
 
 
 def cusp_orbit(cusp: Cusp, N: int) -> list:
-    """Gamma0(N)-orbit of the cusp's primitive vector (-c, a), up to v ~ -v, sorted."""
+    """Gamma0(N)-orbit of the cusp's primitive vector (-c, a), up to v ~ -v, sorted.
+
+    The orbit is {(-c u, a u^-1 - c b)}; its second entry depends on b only mod N/gcd(c, N).
+    """
     a, c = cusp.a, cusp.c
-    units = [u for u in range(1, N) if gcd(u, N) == 1]
-    return sorted({_canon((-c * u, a * pow(u, -1, N) - c * b), N)
-                   for u in units for b in range(N)})
+    period = N // gcd(c, N)
+    units = [(u, a * pow(u, -1, N)) for u in range(1, N) if gcd(u, N) == 1]
+    return sorted({_canon((-c * u, au - c * b), N) for u, au in units for b in range(period)})
 
 
 @memo

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from mpmath import mp, mpf
 
 from .config import memo
@@ -67,14 +65,18 @@ def eta_unit(m: int, rel_truncation) -> FourierSeries:
 
 
 def eta_quotient(spec, n_max) -> FourierSeries:
-    """Product of eta(m tau)^r factors with leading exponent sum(m r)/24.
+    """Product of eta(m tau)^r factors, with leading exponent sum(m r)/24.
 
-    `spec` is a list of (multiplier, exponent) pairs; coefficients are exact and the
+    `spec` is a list of (multiplier, exponent) pairs.  Series exponents are integers,
+    so sum(m r) must be divisible by 24 (an eta-quotient on Gamma0(N) has integral
+    order at infinity) or ValueError is raised.  Coefficients are exact and the
     returned series is known for exponents strictly below n_max.
     """
     spec = [(int(m), int(r)) for m, r in spec]
-    lead = Fraction(sum(m * r for m, r in spec), 24)
-    n_max = Fraction(n_max)
+    order = sum(m * r for m, r in spec)
+    lead, rest = divmod(order, 24)
+    if rest:
+        raise ValueError(f"eta quotient {spec} has non-integer order {order}/24 at infinity")
     rel = n_max - lead
     if rel <= 0:
         return FourierSeries.zero(n_max)

@@ -42,30 +42,21 @@ def _count_points_char_sum(model: EllipticCurveModel, p: int) -> int:
     return int(1 + p + chi_sum)
 
 
-def _nonsingular_count(model: EllipticCurveModel, p: int) -> int:
-    """#E^ns(F_p): nonsingular affine points of the reduction, plus infinity."""
-    a1, a2, a3, a4, a6 = (a % p for a in model.ainvs)
-    count = 1
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        lx = (a1 * x + a3) % p
-        for y in range(p):
-            if (y * y + lx * y - rhs) % p != 0:
-                continue
-            dy = (2 * y + lx) % p
-            dx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
-            if dy == 0 and dx == 0:
-                continue
-            count += 1
-    return count
+def _count_points_mod_2(model: EllipticCurveModel) -> int:
+    """#E(F_2): the affine points among the four of F_2^2, plus infinity."""
+    a1, a2, a3, a4, a6 = model.ainvs
+    return 1 + sum((y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6) % 2 == 0
+                   for x in (0, 1) for y in (0, 1))
 
 
 def ap_point_count(model: EllipticCurveModel, p: int) -> int:
-    """Trace of Frobenius a_p; for bad p the split/nonsplit/additive code in {1,-1,0}."""
-    if model.conductor % p == 0:
-        return p - _nonsingular_count(model, p)
-    # at a good prime the reduction is smooth, so every affine point is nonsingular
-    ap = p + 1 - (_nonsingular_count(model, p) if p <= 3 else _count_points_char_sum(model, p))
+    """a_p = p + 1 - #E(F_p) for the reduction of the minimal model at any prime p.
+
+    At a good prime this is the trace of Frobenius.  At a bad prime the reduction has
+    exactly one singular point, and it is rational, so the same count gives the
+    split/nonsplit/additive code 1, -1 or 0.
+    """
+    ap = p + 1 - (_count_points_mod_2(model) if p == 2 else _count_points_char_sum(model, p))
     if ap * ap > 4 * p:
         raise ArithmeticError(f"Hasse bound violated at p={p} for {model.label}")
     return ap

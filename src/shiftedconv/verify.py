@@ -6,18 +6,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import mpmath
 from mpmath import mp, mpf, mpc
 
 from .config import PrecisionConfig
 from .curves import load_registry, get_curve
-from .eisenstein import basis_for_level, cusp_count, enumerate_cusps, infinity_indicator
+from .eisenstein import basis_for_level, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
 from .mockform import zhat_plus, eta_derivative_deviation
 from .newform import an_coefficients, an_array, _smallest_prime_factors
-from .poincare import bp_coefficient
+from .poincare import _factors, bp_coefficient
 from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
 
 
@@ -256,11 +256,11 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
                     ok, bad = False, f"{lab}: ({m},{n})"
     out.append(CheckResult("10c-multiplicativity", "a(mn) = a(m) a(n) for coprime mn <= 1e4",
                            ok, {"first_failure": bad} if bad else {}, time.time() - t0))
-    # cusp counts
+    # cusp widths (enumerate_cusps asserts the count): they sum to the index of Gamma0(N)
     t0 = time.time()
-    ok = all(len(enumerate_cusps(get_curve(lab).conductor)) == cusp_count(get_curve(lab).conductor)
-             for lab in labels)
-    out.append(CheckResult("10d-cusp-counts", "cusp counts match the divisor-sum formula",
+    ok = all(sum(c.width for c in enumerate_cusps(N)) == N * prod(1 + Fraction(1, p) for p, _ in _factors(N))
+             for N in {get_curve(lab).conductor for lab in labels})
+    out.append(CheckResult("10d-cusp-counts", "cusp widths sum to the index N prod (1 + 1/p) of Gamma0(N)",
                            ok, {}, time.time() - t0))
     # indicator delta property
     t0 = time.time()

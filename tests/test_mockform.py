@@ -45,7 +45,7 @@ SUPPORT_MOD = {"27a1": 3, "32a1": 4, "36a1": 6}
 def test_zhat_support(label):
     n0 = SUPPORT_MOD[label]
     z = zhat_plus(get_curve(label), 40, 64)
-    for e in z.support():
+    for e in sorted(z.coeffs):
         if abs(z[e]) > mpf(10) ** -40:
             assert e % n0 == n0 - 1, (label, e)
 
@@ -66,15 +66,17 @@ def test_eta_unit_pentagonal():
 
 def test_eta_quotient_leading_exponent():
     f = eta_quotient([(3, 1), (9, 6), (27, -3)], 10)
-    assert f.leading_exponent == Fraction(-1)
-    g = eta_quotient([(1, 1)], 3)
-    assert g.leading_exponent == Fraction(1, 24)
-    assert g[Fraction(1, 24) + 1] == -1  # pentagonal number theorem
+    assert f.leading_exponent == -1
+    # eta(z) and eta(2z)^-3 have orders 1/24 and -1/4 at infinity
+    for spec in ([(1, 1)], [(2, -3)]):
+        with pytest.raises(ValueError):
+            eta_quotient(spec, 3)
 
 
 def test_eta_quotient_inverse_has_integer_coefficients():
-    f = eta_quotient([(2, -3)], 4)
-    for e in f.support():
+    f = eta_quotient([(2, -12)], 4)     # order -1 at infinity
+    assert f.leading_exponent == -1
+    for e in sorted(f.coeffs):
         c = f[e]
         assert isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
 

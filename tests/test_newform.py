@@ -26,6 +26,10 @@ ORACLE_AP = {
     ("11a1", 2): -2, ("11a1", 3): -1, ("11a1", 5): 1, ("11a1", 7): -2, ("11a1", 13): 4,
     ("27a1", 2): 0, ("27a1", 7): -1, ("27a1", 13): 5,
     ("49a1", 2): 1, ("49a1", 11): 4,
+    # bad primes: 1, -1, 0 at split, nonsplit and additive reduction
+    ("11a1", 11): 1, ("14a1", 2): -1, ("14a1", 7): 1, ("15a1", 3): -1, ("15a1", 5): 1,
+    ("17a1", 17): 1, ("19a1", 19): 1, ("21a1", 3): 1, ("21a1", 7): -1, ("27a1", 3): 0,
+    ("32a1", 2): 0, ("36a1", 2): 0, ("36a1", 3): 0, ("49a1", 7): 0,
 }
 
 
@@ -33,8 +37,7 @@ ORACLE_AP = {
 def test_ap_against_frozen_oracle(label, p):
     model = get_curve(label)
     assert ap_point_count(model, p) == ORACLE_AP[(label, p)]
-    if model.conductor % p:
-        assert p + 1 - brute_force_count(model, p) == ORACLE_AP[(label, p)]
+    assert p + 1 - brute_force_count(model, p) == ORACLE_AP[(label, p)]
 
 
 @pytest.mark.parametrize("label", [m.label for m in load_registry()])
@@ -47,7 +50,7 @@ def test_ap_matches_brute_force_small_primes(label):
 
 
 def test_bad_prime_codes():
-    # nonsingular point counts give the split/nonsplit/additive trace in {1,-1,0}
+    # p + 1 - #E(F_p) gives the split/nonsplit/additive trace in {1,-1,0}
     for label in ("11a1", "14a1", "15a1", "27a1", "49a1"):
         model = get_curve(label)
         for p in (2, 3, 5, 7, 11, 17, 19):
@@ -120,7 +123,7 @@ def test_eichler_integral_values():
     assert e[1] == 1
     assert e[4] == Fraction(-1, 2)
     assert e[13] == Fraction(5, 13)
-    assert e.coefficient_mode == "exact-rational"
+    assert all(isinstance(c, (int, Fraction)) for c in e.coeffs.values())
 
 
 def test_eichler_requires_cusp_form():

@@ -20,7 +20,16 @@ def test_coefficient_access_and_truncation():
     with pytest.raises(TruncationError):
         f[5]
     assert f.leading_exponent == -1
-    assert f.coefficient_mode == "exact-rational"
+    assert all(isinstance(c, (int, Fraction)) for c in f.coeffs.values())
+
+
+def test_non_integer_exponents_are_rejected():
+    with pytest.raises(TypeError):
+        S({Fraction(1, 2): 1}, 3)
+    with pytest.raises(TypeError):
+        S({1: 1}, 2.5)
+    with pytest.raises(TypeError):
+        S({0: 1}, 3)[Fraction(1, 2)]
 
 
 def test_constructor_rejects_out_of_range():
@@ -51,19 +60,6 @@ def test_invert_unit_and_laurent():
     assert ginv[-1] == Fraction(-1, 2)
 
 
-def test_invert_fractional_grid():
-    f = S({Fraction(1, 24): 1, Fraction(25, 24): -1}, Fraction(73, 24))
-    inv = f.invert()
-    assert inv[Fraction(-1, 24)] == 1
-    assert inv[Fraction(23, 24)] == 1
-
-
-def test_pow_matches_repeated_mul():
-    f = S({0: 1, 1: 2, 3: -1}, 7)
-    assert f ** 3 == f * f * f
-    assert (f ** 0)[0] == 1
-
-
 def test_q_derivative():
     f = S({-1: 1, 0: 5, 2: Fraction(1, 2)}, 6)
     d = f.q_derivative()
@@ -74,9 +70,9 @@ def test_q_derivative():
 
 def test_shift():
     f = S({0: 1, 1: 1}, 3)
-    g = f.shift(Fraction(-1, 2))
-    assert g[Fraction(-1, 2)] == 1
-    assert g.truncation == Fraction(5, 2)
+    g = f.shift(-1)
+    assert g[-1] == 1 and g[0] == 1
+    assert g.truncation == 2
 
 
 def test_to_mp_exactness():
@@ -113,7 +109,7 @@ def test_invert_roundtrip(f):
         return
     prod = f * f.invert()
     assert prod[prod.leading_exponent] == 1
-    for e in prod.support():
+    for e in sorted(prod.coeffs):
         if e != prod.leading_exponent:
             assert prod[e] == 0
 
