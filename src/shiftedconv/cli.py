@@ -10,7 +10,7 @@ import sys
 import mpmath
 
 from .config import PrecisionConfig
-from .curves import load_registry, get_curve
+from .curves import SUPPORTED_CONDUCTORS, load_registry, get_curve
 from .eisenstein import indicator_basis
 from .lattice import build_lattice
 from .mockform import ETA_DERIVATIVE_TABLE, eta_derivative_deviation, zhat_plus
@@ -18,6 +18,15 @@ from .newform import an_coefficients
 from .poincare import bp_coefficient, bq_coefficient
 from .shifted import d_direct_table, l_series_closed_form
 from .verify import verify_all
+
+
+C_MAX_LIMIT = 100_000  # the per-call Kloosterman tables grow like c_max^2 (README)
+
+
+def _c_max(text):
+    if not text.isdigit() or not 1 <= int(text) <= C_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1 .. {C_MAX_LIMIT}, got {text!r}")
+    return int(text)
 
 
 def _nstr(x, digits):
@@ -219,16 +228,16 @@ def build_parser():
     s.set_defaults(fn=cmd_mockform)
 
     s = _options(sub.add_parser("eisenstein", help="cusp indicator basis"), digits=True)
-    s.add_argument("--level", type=int, required=True)
+    s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
     s.add_argument("--n-max", type=int, default=30)
     s.set_defaults(fn=cmd_eisenstein)
 
     s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
-    s.add_argument("--level", type=int, required=True)
+    s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
     s.add_argument("--index", type=int, default=1)
     s.add_argument("--weight", type=int, default=2)
     s.add_argument("--n-max", type=int, default=10)
-    s.add_argument("--c-max", type=int, default=10_000)
+    s.add_argument("--c-max", type=_c_max, default=10_000)
     s.add_argument("--maass", action="store_true", help="Maass-Poincare b_Q instead of b_P")
     s.set_defaults(fn=cmd_poincare)
 
@@ -243,7 +252,7 @@ def build_parser():
     s = _options(sub.add_parser("verify", help="run the acceptance suite"), digits=True)
     s.add_argument("--label", default=None, help="restrict checks to one curve")
     s.add_argument("--terms", type=int, default=100_000)
-    s.add_argument("--c-max", type=int, default=10_000)
+    s.add_argument("--c-max", type=_c_max, default=10_000)
     s.set_defaults(fn=cmd_verify)
     return p
 

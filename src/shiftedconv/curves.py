@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from .config import memo
 
 SUPPORTED_CONDUCTORS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
-CM_CONDUCTORS = frozenset({27, 32, 36, 49})
+CM_DISCRIMINANTS = {27: -3, 32: -4, 36: -3, 49: -7}  # of the CM field Q(sqrt D)
+CM_CONDUCTORS = frozenset(CM_DISCRIMINANTS)
 SQUAREFREE_CONDUCTORS = frozenset({11, 14, 15, 17, 19, 21})
 
 

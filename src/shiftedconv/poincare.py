@@ -138,31 +138,118 @@ def _bessel_i(order: int, x: float) -> float:
     return _bessel_series(order, float(x), 1)
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+_PASS_X_MAX = 4.0  # the array pass covers 0 <= x <= 4, z = (x/2)^2 <= 4
+_PASS_ULPS = 4  # a pass value is kept when its error bound is at most this many ulps
+
+
+def _bessel_pass(order: int, x: np.ndarray, sign: int):
+    """The series of `_bessel_series` at every entry of the float64 array x, with error bounds.
+
+    Returns (values, bounds) with |value - series(x)| <= bound, to first order in the
+    unit roundoff u = 2^-53; bound is inf where x > 4, which the pass does not cover.
+    With z = (x/2)^2, w_k = sign z / (k (k+order)) and r_(k-1) = 1 + w_k r_k, the
+    series is t_0 r_0, t_0 = (x/2)^order / order!.  Horner's scheme runs k = K .. 1
+    from r_K = 1 for all entries at once, with K fixed by order alone: the first K
+    with w_(K+1) <= 1/2 and w_1 ... w_(K+1) < 2^-60 at z = 4.
+
+    Running error bound (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).
+    The computed z^ = z (1 + d) and w^_k = w_k (1 + d)(1 + d_k); then p^_k = fl(w^_k r^_k)
+    and r^_(k-1) = fl(1 + p^_k), every |d| <= u.  In
+
+        r^_(k-1) - r_(k-1) = (r^_(k-1) - 1 - p^_k) + (p^_k - w^_k r^_k)
+                             + (w^_k - w_k) r^_k + w_k (r^_k - r_k)
+
+    the four parts are at most u |r^_(k-1)|, u |p^_k|, 2u |p^_k| and |w_k| e_k, so
+
+        e_(k-1) = u (|r^_(k-1)| + 3 |p^_k|) + |w^_k| e_k
+
+    bounds the error of r^_(k-1).  It starts from e_K = 2 |w^_(K+1)|, which bounds the
+    omitted tail r_K - 1 = w_(K+1) (1 + w_(K+2) (1 + ...)), as the |w_j| decrease from
+    at most 1/2.  t^_0 takes order - 1 products and one division by order! (neither
+    for order <= 1), so |t^_0 - t_0| <= order u |t_0| for order >= 2 and 0 below; the
+    product t^_0 r^_0 rounds once more.  In all,
+
+        bound = u (1 + [order >= 2] order) |value| + |t^_0| e_0.
+
+    Where J's series cancels, e_0 is large against r^_0 and so is the bound.
+    """
+    inside = x <= _PASS_X_MAX
+    h = np.where(inside, x, 0.0) * 0.5  # exact
+    z = h * h
+    big = (_PASS_X_MAX / 2) ** 2
+    terms, ratio = 0, 1.0
+    while True:
+        w_next = big / ((terms + 1) * (terms + 1 + order))
+        ratio *= w_next
+        if w_next <= 0.5 and ratio < 2.0 ** -60:
+            break
+        terms += 1
+    sz = sign * z
+    r = np.ones_like(z)
+    err = 2 * np.abs(sz / ((terms + 1) * (terms + 1 + order)))
+    for k in range(terms, 0, -1):
+        w = sz / (k * (k + order))
+        p = w * r
+        r = 1 + p
+        err = _U * (np.abs(r) + 3 * np.abs(p)) + np.abs(w) * err
+    lead = h if order else np.ones_like(z)
+    for _ in range(order - 1):
+        lead = lead * h
+    if order >= 2:
+        lead = lead / factorial(order)
+    values = lead * r
+    bounds = _U * (1 + (order if order >= 2 else 0)) * np.abs(values) + np.abs(lead) * err
+    bounds[~inside] = inf
+    return values, bounds
+
+
+def _bessel_array(order: int, x: np.ndarray, sign: int) -> np.ndarray:
+    """`_bessel_series` at every entry of x: the array pass where its bound is at most
+    4 ulps of its value, the correctly rounded scalar series everywhere else."""
+    values, bounds = _bessel_pass(order, x, sign)
+    slow = ~(bounds <= _PASS_ULPS * np.spacing(np.abs(values)))
+    values[slow] = [_bessel_series(order, v, sign) for v in x[slow].tolist()]
+    return values
+
+
 class CoefficientSum(NamedTuple):
     value: float
     tail_estimate: float
 
 
-def _c_series(m: int, ns: Sequence[int], N: int, c_max: int, term):
-    """Sum term(i, c, K(m, ns[i]; c)) over c = N, 2N, ... <= c_max for every i.
+def _c_series(m: int, ns: Sequence[int], N: int, c_max: int, order: int, sign: int):
+    """Sum the c-terms of b_P (sign -1) or b_Q (sign 1) over c = N, 2N, ... <= c_max.
 
-    Returns (totals, tails); a tail is the accumulated magnitude of the terms of
-    the last decade, c > 0.9 c_max.  The Kloosterman tables are shared by the moduli
-    of this call and dropped when it returns.
+    The term at (c, n) is K(m, n; c)/c times J_order (sign -1) or I_order (sign 1) at
+    4 pi sqrt(|m| n)/c, and K(m, 0; c)/c^(order+1) at n = 0.  The rows K(m, ns; c) are
+    gathered one modulus at a time into an array, whose Bessel factors then come from
+    one `_bessel_array` pass.  Returns (totals, tails) as lists, each total summed in
+    c order; a tail is the accumulated magnitude of the terms of the last decade,
+    c > 0.9 c_max.  The Kloosterman tables are shared by the moduli of this call and
+    dropped when it returns.
     """
     if N < 1:
         raise ValueError("level must be positive")
     rows = np.asarray(ns, dtype=np.int64)
-    totals = [0.0] * len(ns)
-    tails = [0.0] * len(ns)
+    cs = np.arange(N, c_max + 1, N)
     tables = {}
-    for c in range(N, c_max + 1, N):
-        for i, kl in enumerate(kloosterman_row(m, rows, c, tables).tolist()):
-            t = term(i, c, kl)
-            totals[i] += t
-            if c > 0.9 * c_max:
-                tails[i] += abs(t)
-    return totals, tails
+    kl = np.empty((len(cs), len(rows)))
+    for j, c in enumerate(cs.tolist()):
+        kl[j] = kloosterman_row(m, rows, c, tables)
+    col = cs[:, None].astype(float)
+    zero = rows == 0
+    args = 4 * np.pi * np.sqrt(abs(m) * rows[~zero].astype(float))
+    terms = np.empty_like(kl)
+    terms[:, ~zero] = kl[:, ~zero] * _bessel_array(order, args / col, sign) / col
+    if zero.any():
+        terms[:, zero] = kl[:, zero] / np.array([float(c ** (order + 1)) for c in cs.tolist()])[:, None]
+    return _sum_in_order(terms).tolist(), _sum_in_order(np.abs(terms[cs > 0.9 * c_max])).tolist()
+
+
+def _sum_in_order(a: np.ndarray) -> np.ndarray:
+    """Column sums of a, each adding the rows in order (np.sum adds one column pairwise)."""
+    return np.cumsum(a, axis=0)[-1] if len(a) else np.zeros(a.shape[1])
 
 
 def bp_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
@@ -180,9 +267,7 @@ def bp_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> lis
     if m < 1 or any(n < 1 for n in ns):
         raise ValueError("indices must be positive")
     sign = (-1) ** (k // 2)  # i^{-k}
-    args = [4 * np.pi * np.sqrt(m * n) for n in ns]
-    totals, tails = _c_series(m, ns, N, c_max,
-                              lambda i, c, kl: _bessel_j(k - 1, args[i] / c) * kl / c)
+    totals, tails = _c_series(m, ns, N, c_max, k - 1, -1)
     out = []
     for n, total, tail in zip(ns, totals, tails):
         front = (n / m) ** ((k - 1) / 2)
@@ -204,14 +289,7 @@ def bq_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> lis
     if m < 1 or any(n < 0 for n in ns):
         raise ValueError("index must be positive and n nonnegative")
     sign = (-1) ** (k // 2)
-    args = [4 * np.pi * np.sqrt(m * n) for n in ns]
-
-    def term(i, c, kl):
-        if ns[i] == 0:
-            return kl / c ** k
-        return kl / c * _bessel_i(k - 1, args[i] / c)
-
-    totals, tails = _c_series(-m, ns, N, c_max, term)
+    totals, tails = _c_series(-m, ns, N, c_max, k - 1, 1)
     out = []
     for n, total, tail in zip(ns, totals, tails):
         if n == 0:

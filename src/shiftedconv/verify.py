@@ -12,7 +12,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .config import PrecisionConfig
-from .curves import load_registry, get_curve
+from .curves import CM_DISCRIMINANTS, load_registry, get_curve
 from .eisenstein import basis_for_level, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
 from .mockform import zhat_plus, eta_derivative_deviation
@@ -219,6 +219,23 @@ def check_poincare(cfg: PrecisionConfig) -> CheckResult:
                        ok, {"max_dev": _str(worst)}, rt)
 
 
+def inert_prime(D: int, p: int) -> bool:
+    """Whether the prime p is inert in Q(sqrt D), D a fundamental discriminant: (D/p) = -1."""
+    if p == 2:
+        return D % 8 == 5
+    return pow(D, (p - 1) // 2, p) == p - 1
+
+
+def cm_zero_mismatches(a, primes, D: int) -> list[int]:
+    """The primes p at which a_p = 0 disagrees with p inert in Q(sqrt D).
+
+    For a curve with CM by Q(sqrt D) and good reduction at p, a_p = 0 at the inert p
+    (supersingular reduction) and a_p is nonzero at the split p, where the reduction
+    is ordinary (Deuring's criterion).
+    """
+    return [p for p in primes if (a[p] == 0) != inert_prime(D, p)]
+
+
 def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
     out = []
     labels = _labels_subset(labels)
@@ -232,18 +249,25 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
                                    + 2 * mp.pi * mpc(0, 1)))
     out.append(CheckResult("10a-legendre", "Legendre relation residual <= 1e-50 (all lattices)",
                            worst <= mpf("1e-50"), {"worst": _str(worst, 3)}, time.time() - t0))
-    # Hasse bound, on the a(p) of the table 10c checks
+    # Hasse bound, on the a(p) of the table 10c checks; the point count enforces it, the
+    # CM condition is independent of it
     t0 = time.time()
-    ok = True
+    ok, details = True, {}
     spf = _smallest_prime_factors(10_000)
     for lab in labels:
         model = get_curve(lab)
         a = an_array(model, 10_000)
-        for p in range(2, 10_001):
-            if spf[p] == p and model.conductor % p and a[p] * a[p] > 4 * p:
-                ok = False
-    out.append(CheckResult("10b-hasse", "|a_p| <= 2 sqrt(p) for good p <= 1e4 (all curves)",
-                           ok, {}, time.time() - t0))
+        good = [p for p in range(2, 10_001) if spf[p] == p and model.conductor % p]
+        ok &= all(a[p] * a[p] <= 4 * p for p in good)
+        if model.has_cm:
+            D = CM_DISCRIMINANTS[model.conductor]
+            wrong = cm_zero_mismatches(a, good, D)
+            ok &= not wrong
+            details[lab] = (f"{sum(inert_prime(D, p) for p in good)} inert primes"
+                            + (f", mismatch at {wrong[:5]}" if wrong else ""))
+    out.append(CheckResult("10b-hasse", "|a_p| <= 2 sqrt(p) for good p <= 1e4 (all curves); "
+                           "a_p = 0 exactly at the inert p (CM curves)", ok, details,
+                           time.time() - t0))
     # multiplicativity over every coprime pair with m <= n, mn <= 1e4
     t0 = time.time()
     ok = True

@@ -121,6 +121,15 @@ def test_criterion_10_property_suite():
     assert ok
 
 
+def test_criterion_10b_cm_condition_can_fail():
+    from shiftedconv.newform import an_array
+    primes = [p for p in range(2, 2000) if all(p % q for q in range(2, p)) and 27 % p]
+    assert V.cm_zero_mismatches(an_array(get_curve("27a1"), 2000), primes, -3) == []
+    # the wrong CM field, or a curve without CM, fails at many primes
+    assert len(V.cm_zero_mismatches(an_array(get_curve("27a1"), 2000), primes, -4)) > 100
+    assert len(V.cm_zero_mismatches(an_array(get_curve("11a1"), 2000), primes, -3)) > 100
+
+
 def test_criterion_11_beta_vanishing():
     assert _run(V.check_beta_vanishing).passed
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from mpmath import mp
 
-from shiftedconv.cli import main
+from shiftedconv.cli import build_parser, main
 from shiftedconv.eisenstein import _zeta_table, basis_for_level
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
@@ -158,3 +158,28 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poincare", "--level", "1"], "invalid choice"),
+    (["poincare", "--level", "12", "--c-max", "100"], "invalid choice"),
+    (["eisenstein", "--level", "50"], "invalid choice"),
+    (["poincare", "--level", "11", "--c-max", "100001"], "1 .. 100000"),
+    (["poincare", "--level", "11", "--c-max", "0"], "1 .. 100000"),
+    (["poincare", "--level", "11", "--c-max", "-5"], "1 .. 100000"),
+    (["poincare", "--level", "11", "--c-max", "1e4"], "1 .. 100000"),
+    (["verify", "--c-max", "200000"], "1 .. 100000"),
+])
+def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_inputs_at_the_limits_are_accepted():
+    for N in (11, 14, 15, 17, 19, 21, 27, 32, 36, 49):
+        assert build_parser().parse_args(["eisenstein", "--level", str(N)]).level == N
+    args = build_parser().parse_args(["poincare", "--level", "49", "--c-max", "100000"])
+    assert (args.level, args.c_max) == (49, 100_000)
+    assert build_parser().parse_args(["poincare", "--level", "11", "--c-max", "1"]).c_max == 1

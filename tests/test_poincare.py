@@ -6,8 +6,10 @@ import hypothesis.strategies as st
 import numpy as np
 from mpmath import mp, mpf
 
-from shiftedconv.poincare import (_bessel_i, _bessel_j, _units, bp_coefficient,
-                                  bq_coefficient, kloosterman_row)
+from shiftedconv import poincare
+from shiftedconv.poincare import (_PASS_ULPS, _bessel_array, _bessel_i, _bessel_j, _bessel_pass,
+                                  _bessel_series, _units, bp_coefficient, bq_coefficient,
+                                  kloosterman_row)
 
 from kloosterman_oracle import (bp_per_n, bq_per_n, kloosterman, kloosterman_float,
                                 units_listing)
@@ -164,6 +166,54 @@ def test_bessel_series_correctly_rounded():
     assert _bessel_i(1, 1300.0) == float("inf")
     assert _bessel_j(0, 0.0) == _bessel_i(0, 0.0) == 1.0
     assert _bessel_j(1, 0.0) == _bessel_i(3, 0.0) == 0.0
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_bessel_pass_within_its_bound():
+    xs = np.array([*_workload_arguments(20_000), *_OFF_BY_ONE_I])
+    for f, sign in ((_bessel_j, -1), (_bessel_i, 1)):
+        for order in (0, 1, 3):
+            want = np.array([f(order, x) for x in xs.tolist()])
+            values, bounds = _bessel_pass(order, xs, sign)
+            assert np.all(np.isfinite(bounds))  # every workload argument is below 4
+            # want is the true value to half an ulp
+            assert np.all(np.abs(values - want) <= bounds + np.spacing(np.abs(want)) / 2), (sign, order)
+            assert np.max(_ulps(_bessel_array(order, xs, sign), want)) <= _PASS_ULPS + 0.5
+
+
+def test_bessel_array_above_threshold_is_the_scalar_series():
+    # the large-argument list of test_bessel_series_correctly_rounded, and arguments
+    # from 2 to 4 where the bound of J's cancelling series passes 4 ulps
+    xs = np.array([*(4 * np.pi * np.sqrt(40 * n) / 11 for n in range(1, 41, 3)),
+                   *np.linspace(50, 1300, 12), *np.linspace(2, 4, 41)])
+    for sign in (-1, 1):
+        for order in (1, 3, 5):
+            values, bounds = _bessel_pass(order, xs, sign)
+            slow = ~(bounds <= _PASS_ULPS * np.spacing(np.abs(values)))
+            assert slow[xs > 4].all() and slow[xs <= 4].any(), (sign, order)
+            got = _bessel_array(order, xs, sign)[slow]
+            want = [_bessel_series(order, x, sign) for x in xs[slow].tolist()]
+            assert got.tolist() == want, (sign, order)
+
+
+_LEVELS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
+
+
+def test_coefficients_match_per_element_bessel(monkeypatch):
+    def run():
+        return [(bp_coefficient(1, 2, N, range(1, 11), 6000),
+                 bq_coefficient(1, 2, N, range(0, 11), 6000)) for N in _LEVELS]
+    fast = run()
+    # the same c-sums with one correctly rounded scalar series per (c, n)
+    monkeypatch.setattr(poincare, "_bessel_array", lambda order, x, sign: np.array(
+        [_bessel_series(order, v, sign) for v in x.ravel().tolist()]).reshape(x.shape))
+    slow = run()
+    for N, got, want in zip(_LEVELS, fast, slow):
+        for g, w in zip([*got[0], *got[1]], [*want[0], *want[1]], strict=True):
+            assert abs(g.value - w.value) <= 1e-13 and abs(g.tail_estimate - w.tail_estimate) <= 1e-13, N
 
 
 def test_bp_empty_sum_is_delta():
