@@ -10,7 +10,7 @@ import sys
 import mpmath
 
 from .config import PrecisionConfig
-from .curves import SUPPORTED_CONDUCTORS, load_registry, get_curve
+from .curves import LABELS, SUPPORTED_CONDUCTORS, load_registry, get_curve
 from .eisenstein import indicator_basis
 from .lattice import build_lattice
 from .mockform import ETA_DERIVATIVE_TABLE, eta_derivative_deviation, zhat_plus
@@ -21,35 +21,36 @@ from .verify import verify_all
 
 
 C_MAX_LIMIT = 100_000  # the per-call Kloosterman tables grow like c_max^2 (README)
+TERMS_LIMIT = 1_000_000  # point counting raises above p = 1.3e6 (README)
 
 
-def _c_max(text):
-    if not text.isdigit() or not 1 <= int(text) <= C_MAX_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1 .. {C_MAX_LIMIT}, got {text!r}")
-    return int(text)
+def _integer(lo, hi=None):
+    """An argparse type accepting the integers lo .. hi (no upper limit if hi is None)."""
+    def parse(text):
+        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= (hi or int(text)):
+            limit = f"in {lo} .. {hi}" if hi else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be an integer {limit}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _nstr(x, digits):
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
-def _options(sub, *, digits=False, csv_rows=False, curve_file=False):
+def _options(sub, *, digits=False, csv_rows=False, label=False):
     """Give a subcommand --format and only the shared options it reads."""
     if digits:
-        sub.add_argument("--digits", type=int, default=64, help="working decimal precision")
+        sub.add_argument("--digits", type=_integer(30), default=64, help="working decimal precision")
     sub.add_argument("--format", choices=("text", "json", "csv") if csv_rows else ("text", "json"),
                      default="text")
-    if curve_file:
-        sub.add_argument("--curve-file", default=None, help="curve table overriding the built-in one")
+    if label:
+        sub.add_argument("--label", choices=LABELS, required=True)
     return sub
 
 
-def _get(args, key):
-    return get_curve(key, args.curve_file)
-
-
 def cmd_curves(args):
-    models = load_registry(args.curve_file)
+    models = load_registry()
     rows = [{"label": m.label, "conductor": m.conductor,
              "a_invariants": list(m.ainvs), "discriminant": m.discriminant,
              "has_cm": m.has_cm, "squarefree_level": m.squarefree_level}
@@ -64,7 +65,7 @@ def cmd_curves(args):
 
 
 def cmd_coeffs(args):
-    f = an_coefficients(_get(args, args.label), args.n_max)
+    f = an_coefficients(get_curve(args.label), args.n_max)
     rows = [(n, int(f[n])) for n in range(1, args.n_max + 1)]
     if args.format == "json":
         print(json.dumps([[n, a] for n, a in rows]))
@@ -79,7 +80,7 @@ def cmd_coeffs(args):
 
 
 def cmd_lattice(args):
-    lat = build_lattice(_get(args, args.label), args.digits)
+    lat = build_lattice(get_curve(args.label), args.digits)
     d = args.digits
     fields = {
         "omega1": _nstr(lat.omega1, d), "omega2": _nstr(lat.omega2, d),
@@ -96,7 +97,7 @@ def cmd_lattice(args):
 
 
 def cmd_mockform(args):
-    model = _get(args, args.label)
+    model = get_curve(args.label)
     z = zhat_plus(model, args.n_max, args.digits)
     rows = [(n, _nstr(z[n], args.digits)) for n in range(-1, args.n_max + 1)]
     if args.format == "json":
@@ -146,7 +147,7 @@ def cmd_poincare(args):
 
 
 def cmd_lseries(args):
-    model = _get(args, args.label)
+    model = get_curve(args.label)
     tables = []
     if args.method in ("direct", "both"):
         tables.append(d_direct_table(model, args.h_max, args.terms))
@@ -206,30 +207,27 @@ def build_parser():
                                             "genus-one modular elliptic curves")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = _options(sub.add_parser("curves", help="list the curve registry"), curve_file=True)
+    s = _options(sub.add_parser("curves", help="list the curve registry"))
     s.set_defaults(fn=cmd_curves)
 
     s = _options(sub.add_parser("coeffs", help="newform coefficients a(n)"), csv_rows=True,
-                 curve_file=True)
-    s.add_argument("--label", required=True)
-    s.add_argument("--n-max", type=int, default=50)
+                 label=True)
+    s.add_argument("--n-max", type=_integer(1, TERMS_LIMIT), default=50)
     s.set_defaults(fn=cmd_coeffs)
 
     s = _options(sub.add_parser("lattice", help="periods, quasi-periods, volume, S"), digits=True,
-                 curve_file=True)
-    s.add_argument("--label", required=True)
+                 label=True)
     s.set_defaults(fn=cmd_lattice)
 
     s = _options(sub.add_parser("mockform", help="Weierstrass mock modular form expansion"),
-                 digits=True, curve_file=True)
-    s.add_argument("--label", required=True)
-    s.add_argument("--n-max", type=int, default=40)
+                 digits=True, label=True)
+    s.add_argument("--n-max", type=_integer(0), default=40)
     s.add_argument("--check-eta", action="store_true")
     s.set_defaults(fn=cmd_mockform)
 
     s = _options(sub.add_parser("eisenstein", help="cusp indicator basis"), digits=True)
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--n-max", type=int, default=30)
+    s.add_argument("--n-max", type=_integer(0), default=30)
     s.set_defaults(fn=cmd_eisenstein)
 
     s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
@@ -237,22 +235,21 @@ def build_parser():
     s.add_argument("--index", type=int, default=1)
     s.add_argument("--weight", type=int, default=2)
     s.add_argument("--n-max", type=int, default=10)
-    s.add_argument("--c-max", type=_c_max, default=10_000)
+    s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
     s.add_argument("--maass", action="store_true", help="Maass-Poincare b_Q instead of b_P")
     s.set_defaults(fn=cmd_poincare)
 
     s = _options(sub.add_parser("lseries", help="shifted convolution L-values"), digits=True,
-                 csv_rows=True, curve_file=True)
-    s.add_argument("--label", required=True)
+                 csv_rows=True, label=True)
     s.add_argument("--method", choices=("direct", "closed", "both"), default="both")
-    s.add_argument("--h-max", type=int, default=30)
-    s.add_argument("--terms", type=int, default=100_000)
+    s.add_argument("--h-max", type=_integer(1), default=30)
+    s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
     s.set_defaults(fn=cmd_lseries)
 
     s = _options(sub.add_parser("verify", help="run the acceptance suite"), digits=True)
-    s.add_argument("--label", default=None, help="restrict checks to one curve")
-    s.add_argument("--terms", type=int, default=100_000)
-    s.add_argument("--c-max", type=_c_max, default=10_000)
+    s.add_argument("--label", choices=LABELS, default=None, help="restrict checks to one curve")
+    s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
+    s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
     s.set_defaults(fn=cmd_verify)
     return p
 

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
-
-from .config import memo
 
 SUPPORTED_CONDUCTORS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
 CM_DISCRIMINANTS = {27: -3, 32: -4, 36: -3, 49: -7}  # of the CM field Q(sqrt D)
@@ -14,7 +11,7 @@ SQUAREFREE_CONDUCTORS = frozenset({11, 14, 15, 17, 19, 21})
 
 
 class CurveDataError(ValueError):
-    """Malformed or inconsistent curve data."""
+    """A label or conductor outside the ten."""
 
 
 @dataclass(frozen=True)
@@ -74,65 +71,39 @@ class EllipticCurveModel:
         return g2, g3
 
 
-def _validate(models: list[EllipticCurveModel]) -> list[EllipticCurveModel]:
-    seen = {}
-    for m in models:
-        if m.conductor not in SUPPORTED_CONDUCTORS:
-            raise CurveDataError(f"{m.label}: conductor {m.conductor} outside the supported set")
-        if m.conductor in seen:
-            raise CurveDataError(f"duplicate conductor {m.conductor} ({seen[m.conductor]}, {m.label})")
-        if m.discriminant == 0:
-            raise CurveDataError(f"{m.label}: singular model (discriminant 0)")
-        seen[m.conductor] = m.label
-    missing = [N for N in SUPPORTED_CONDUCTORS if N not in seen]
-    if missing:
-        raise CurveDataError(f"missing conductors: {missing}")
-    return sorted(models, key=lambda m: m.conductor)
+# Cremona's optimal curves of the ten levels, in their minimal models
+# (Cremona, *Algorithms for Modular Elliptic Curves*)
+_MODELS = (
+    EllipticCurveModel("11a1", 11, 0, -1, 1, -10, -20),
+    EllipticCurveModel("14a1", 14, 1, 0, 1, 4, -6),
+    EllipticCurveModel("15a1", 15, 1, 1, 1, -10, -10),
+    EllipticCurveModel("17a1", 17, 1, -1, 1, -1, -14),
+    EllipticCurveModel("19a1", 19, 0, 1, 1, -9, -15),
+    EllipticCurveModel("21a1", 21, 1, 0, 0, -4, -1),
+    EllipticCurveModel("27a1", 27, 0, 0, 1, 0, -7),
+    EllipticCurveModel("32a1", 32, 0, 0, 0, 4, 0),
+    EllipticCurveModel("36a1", 36, 0, 0, 0, 0, 1),
+    EllipticCurveModel("49a1", 49, 1, -1, 0, -2, -1),
+)
+LABELS = tuple(m.label for m in _MODELS)
+_BY_KEY = {**{m.label: m for m in _MODELS}, **{m.conductor: m for m in _MODELS}}
 
 
-def _parse(lines, source: str) -> list[EllipticCurveModel]:
-    models = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise CurveDataError(f"{source}:{lineno}: expected 'label N a1 a2 a3 a4 a6', got {len(parts)} fields")
-        label = parts[0]
-        try:
-            nums = [int(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise CurveDataError(f"{source}:{lineno}: non-integer field ({exc})") from None
-        models.append(EllipticCurveModel(label, nums[0], *nums[1:]))
-    return models
+def load_registry() -> list[EllipticCurveModel]:
+    """The ten models, in increasing conductor."""
+    return list(_MODELS)
 
 
-def load_registry(path: str | None = None) -> list[EllipticCurveModel]:
-    """Load and validate curve models from a file, or the built-in table if path is None."""
-    if path is None:
-        text = importlib.resources.files("shiftedconv.data").joinpath("curves.txt").read_text()
-        return _validate(_parse(text.splitlines(), "builtin"))
-    with open(path, encoding="utf-8") as fh:
-        return _validate(_parse(fh, path))
+def registry() -> dict:
+    """Label- and conductor-keyed lookup table."""
+    return _BY_KEY
 
 
-@memo
-def registry(path: str | None = None) -> dict:
-    """Label- and conductor-keyed lookup table (cached per path)."""
-    table = {}
-    for m in load_registry(path):
-        table[m.label] = m
-        table[m.conductor] = m
-    return table
-
-
-def get_curve(key, path: str | None = None) -> EllipticCurveModel:
+def get_curve(key) -> EllipticCurveModel:
     """Look up a model by label (e.g. '11a1') or conductor (e.g. 11)."""
-    table = registry(path)
     if isinstance(key, str) and key.isdigit():
         key = int(key)
     try:
-        return table[key]
+        return _BY_KEY[key]
     except KeyError:
         raise CurveDataError(f"no curve with label or conductor {key!r}") from None

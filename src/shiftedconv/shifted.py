@@ -51,6 +51,8 @@ def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> DirectValue:
     """
     if h < 1:
         raise ValueError("shift must be positive")
+    if n_terms < 10:
+        raise ValueError("n_terms must be >= 10, or the last decade holds one partial sum")
     # bucketed by 4096 so an h-sweep, and a later read of n_terms + 4096 entries,
     # find the a(n) prefix already built
     table_len = n_terms + 4096 * (1 + (h - 1) // 4096)

@@ -15,7 +15,7 @@ from .config import PrecisionConfig
 from .curves import CM_DISCRIMINANTS, load_registry, get_curve
 from .eisenstein import basis_for_level, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
-from .mockform import zhat_plus, eta_derivative_deviation
+from .mockform import zhat_plus, eta_derivative_deviation, eta_quotient
 from .newform import an_coefficients, an_array, _smallest_prime_factors
 from .poincare import _factors, bp_coefficient
 from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
@@ -236,6 +236,19 @@ def cm_zero_mismatches(a, primes, D: int) -> list[int]:
     return [p for p in primes if (a[p] == 0) != inert_prime(D, p)]
 
 
+# the newforms that are eta products, as (multiplier, exponent) pairs (Martin,
+# "Multiplicative eta-quotients", Trans. AMS 348, 1996)
+ETA_PRODUCTS = {11: [(1, 2), (11, 2)], 14: [(1, 1), (2, 1), (7, 1), (14, 1)],
+                15: [(1, 1), (3, 1), (5, 1), (15, 1)], 27: [(3, 2), (9, 2)],
+                32: [(4, 2), (8, 2)], 36: [(6, 4)]}
+
+
+def eta_product_mismatches(a, spec) -> list[int]:
+    """The n = 1 .. len(a) - 1 at which a(n) differs from the eta product `spec`."""
+    eta = eta_quotient(spec, len(a))
+    return [n for n in range(1, len(a)) if a[n] != eta[n]]
+
+
 def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
     out = []
     labels = _labels_subset(labels)
@@ -250,7 +263,7 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
     out.append(CheckResult("10a-legendre", "Legendre relation residual <= 1e-50 (all lattices)",
                            worst <= mpf("1e-50"), {"worst": _str(worst, 3)}, time.time() - t0))
     # Hasse bound, on the a(p) of the table 10c checks; the point count enforces it, the
-    # CM condition is independent of it
+    # CM and eta-product conditions are independent of it
     t0 = time.time()
     ok, details = True, {}
     spf = _smallest_prime_factors(10_000)
@@ -259,15 +272,24 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
         a = an_array(model, 10_000)
         good = [p for p in range(2, 10_001) if spf[p] == p and model.conductor % p]
         ok &= all(a[p] * a[p] <= 4 * p for p in good)
+        notes = []
         if model.has_cm:
             D = CM_DISCRIMINANTS[model.conductor]
             wrong = cm_zero_mismatches(a, good, D)
             ok &= not wrong
-            details[lab] = (f"{sum(inert_prime(D, p) for p in good)} inert primes"
-                            + (f", mismatch at {wrong[:5]}" if wrong else ""))
+            notes.append(f"{sum(inert_prime(D, p) for p in good)} inert primes"
+                         + (f", mismatch at {wrong[:5]}" if wrong else ""))
+        if model.conductor in ETA_PRODUCTS:
+            wrong = eta_product_mismatches(a, ETA_PRODUCTS[model.conductor])
+            ok &= not wrong
+            notes.append(f"eta product mismatch at {wrong[:5]}" if wrong
+                         else "eta product equal for n <= 10000")
+        if notes:
+            details[lab] = "; ".join(notes)
     out.append(CheckResult("10b-hasse", "|a_p| <= 2 sqrt(p) for good p <= 1e4 (all curves); "
-                           "a_p = 0 exactly at the inert p (CM curves)", ok, details,
-                           time.time() - t0))
+                           "a_p = 0 exactly at the inert p (CM curves); a(n) equals the "
+                           "eta-product newform for n <= 1e4 (11, 14, 15, 27, 32, 36)",
+                           ok, details, time.time() - t0))
     # multiplicativity over every coprime pair with m <= n, mn <= 1e4
     t0 = time.time()
     ok = True

@@ -130,6 +130,20 @@ def test_criterion_10b_cm_condition_can_fail():
     assert len(V.cm_zero_mismatches(an_array(get_curve("11a1"), 2000), primes, -3)) > 100
 
 
+def test_criterion_10b_eta_condition_can_fail(monkeypatch):
+    """At 11a1 the Hasse bound is all the point count leaves; the eta product catches a bad a_p."""
+    from shiftedconv.newform import an_array
+    a = an_array(get_curve("11a1"), 10_000).copy()
+    assert V.eta_product_mismatches(a, V.ETA_PRODUCTS[11]) == []
+    assert len(V.eta_product_mismatches(a, V.ETA_PRODUCTS[14])) > 1000
+    a[9973] += 2 if a[9973] <= 0 else -2          # 9973 is prime; still within 2 sqrt(p)
+    assert V.eta_product_mismatches(a, V.ETA_PRODUCTS[11]) == [9973]
+    monkeypatch.setattr(V, "an_array", lambda model, n_max: a[:n_max + 1])
+    hasse = next(r for r in V.check_properties(CFG, ["11a1"]) if r.check_id == "10b-hasse")
+    assert not hasse.passed
+    assert hasse.details["11a1"] == "eta product mismatch at [9973]"
+
+
 def test_criterion_11_beta_vanishing():
     assert _run(V.check_beta_vanishing).passed
 

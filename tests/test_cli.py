@@ -126,20 +126,6 @@ def test_lseries_csv(capsys):
     assert len(lines) == 4
 
 
-def test_curve_file_override(tmp_path, capsys):
-    p = tmp_path / "curves.txt"
-    src = [
-        "11a1 11 0 -1 1 -10 -20", "14a1 14 1 0 1 4 -6", "15a1 15 1 1 1 -10 -10",
-        "17a1 17 1 -1 1 -1 -14", "19a1 19 0 1 1 -9 -15", "21a1 21 1 0 0 -4 -1",
-        "27zz 27 0 0 1 0 -7", "32a1 32 0 0 0 4 0", "36a1 36 0 0 0 0 1",
-        "49a1 49 1 -1 0 -2 -1",
-    ]
-    p.write_text("\n".join(src) + "\n")
-    code, out, _ = run(capsys, ["curves", "--curve-file", str(p)])
-    assert code == 0
-    assert "27zz" in out
-
-
 def test_verify_label_filter_runs_property_checks(capsys):
     code, out, err = run(capsys, ["verify", "--label", "14a1", "--digits", "40",
                                   "--terms", "2000", "--c-max", "200"])
@@ -153,6 +139,8 @@ def test_verify_label_filter_runs_property_checks(capsys):
     ["lattice", "--label", "11a1", "--format", "csv"],
     ["poincare", "--level", "11", "--digits", "40"],
     ["verify", "--curve-file", "f"],
+    ["curves", "--curve-file", "f"],
+    ["lseries", "--label", "11a1", "--curve-file", "f"],
 ])
 def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -169,6 +157,19 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["poincare", "--level", "11", "--c-max", "-5"], "1 .. 100000"),
     (["poincare", "--level", "11", "--c-max", "1e4"], "1 .. 100000"),
     (["verify", "--c-max", "200000"], "1 .. 100000"),
+    (["lattice", "--label", "37a1"], "invalid choice"),
+    (["verify", "--label", "37a1"], "invalid choice"),
+    (["coeffs", "--label", "11"], "invalid choice"),
+    (["lseries", "--label", "11a1", "--terms", "0"], "10 .. 1000000"),
+    (["lseries", "--label", "11a1", "--terms", "9"], "10 .. 1000000"),
+    (["verify", "--terms", "1000001"], "10 .. 1000000"),
+    (["coeffs", "--label", "11a1", "--n-max", "0"], "1 .. 1000000"),
+    (["coeffs", "--label", "11a1", "--n-max", "1000001"], "1 .. 1000000"),
+    (["lseries", "--label", "11a1", "--h-max", "0"], ">= 1"),
+    (["mockform", "--label", "11a1", "--n-max", "-1"], ">= 0"),
+    (["eisenstein", "--level", "11", "--n-max", "-1"], ">= 0"),
+    (["lattice", "--label", "11a1", "--digits", "10"], ">= 30"),
+    (["verify", "--digits", "29"], ">= 30"),
 ])
 def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -183,3 +184,10 @@ def test_inputs_at_the_limits_are_accepted():
     args = build_parser().parse_args(["poincare", "--level", "49", "--c-max", "100000"])
     assert (args.level, args.c_max) == (49, 100_000)
     assert build_parser().parse_args(["poincare", "--level", "11", "--c-max", "1"]).c_max == 1
+    args = build_parser().parse_args(["lseries", "--label", "49a1", "--terms", "10", "--h-max", "1",
+                                      "--digits", "30"])
+    assert (args.label, args.terms, args.h_max, args.digits) == ("49a1", 10, 1, 30)
+    assert build_parser().parse_args(["verify", "--terms", "1000000"]).terms == 1_000_000
+    assert build_parser().parse_args(["coeffs", "--label", "11a1", "--n-max", "1"]).n_max == 1
+    assert build_parser().parse_args(["eisenstein", "--level", "11", "--n-max", "0"]).n_max == 0
+    assert build_parser().parse_args(["mockform", "--label", "11a1", "--n-max", "0"]).n_max == 0

@@ -106,3 +106,6 @@ def test_beta_fit_11a1():
 def test_shift_must_be_positive():
     with pytest.raises(ValueError):
         d_direct(get_curve("11a1"), 0, 100)
+    with pytest.raises(ValueError, match=">= 10"):
+        d_direct(get_curve("11a1"), 1, 9)        # a window of one partial sum
+    assert d_direct(get_curve("11a1"), 1, 10).n_terms == 10
