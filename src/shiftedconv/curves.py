@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-SUPPORTED_CONDUCTORS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
 CM_DISCRIMINANTS = {27: -3, 32: -4, 36: -3, 49: -7}  # of the CM field Q(sqrt D)
 CM_CONDUCTORS = frozenset(CM_DISCRIMINANTS)
 SQUAREFREE_CONDUCTORS = frozenset({11, 14, 15, 17, 19, 21})
@@ -86,6 +85,7 @@ _MODELS = (
     EllipticCurveModel("49a1", 49, 1, -1, 0, -2, -1),
 )
 LABELS = tuple(m.label for m in _MODELS)
+SUPPORTED_CONDUCTORS = tuple(m.conductor for m in _MODELS)
 _BY_KEY = {**{m.label: m for m in _MODELS}, **{m.conductor: m for m in _MODELS}}
 
 
