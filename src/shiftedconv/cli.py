@@ -34,8 +34,16 @@ def _integer(lo, hi=None):
     return parse
 
 
+def _positive_even(text):
+    """An argparse type accepting the weights 2, 4, 6, ..."""
+    if not text.isdecimal() or int(text) < 2 or int(text) % 2:
+        raise argparse.ArgumentTypeError(f"must be a positive even integer, got {text!r}")
+    return int(text)
+
+
 def _nstr(x, digits):
-    return mpmath.nstr(x, digits, strip_zeros=False)
+    """`digits` significant digits; an exact zero and an mp zero both print as 0.0."""
+    return mpmath.nstr(mpmath.mpmathify(x), digits, strip_zeros=False)
 
 
 def _options(sub, *, digits=False, csv_rows=False, label=False):
@@ -232,9 +240,9 @@ def build_parser():
 
     s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--index", type=int, default=1)
-    s.add_argument("--weight", type=int, default=2)
-    s.add_argument("--n-max", type=int, default=10)
+    s.add_argument("--index", type=_integer(1), default=1)
+    s.add_argument("--weight", type=_positive_even, default=2)
+    s.add_argument("--n-max", type=_integer(1), default=10)
     s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
     s.add_argument("--maass", action="store_true", help="Maass-Poincare b_Q instead of b_P")
     s.set_defaults(fn=cmd_poincare)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import lcm
+
 from mpmath import mp, mpf
 
 from .config import memo
@@ -11,36 +13,44 @@ from .newform import an_coefficients, eichler_integral
 from .series import FourierSeries
 
 
-def _real_part(x, digits):
-    if abs(getattr(x, "imag", 0)) > mpf(10) ** (-(digits - 10)) * (1 + abs(x)):
-        raise ArithmeticError(f"unexpected imaginary part in lattice constant: {x}")
-    return x.real if hasattr(x, "imag") else x
+@memo
+def mock_parts(model: EllipticCurveModel, n_max: int) -> tuple:
+    """(R, E), exact through q^{n_max}, with Zhat^+ = R - S E and E the Eichler integral.
+
+    R = 1/E - sum_{k>=1} G_{2k+2} E^{2k+1} (G_2k: g_numbers) is pole-free as the modular
+    degree is 1.  The powers are taken of the integer series L E, L = lcm(1 .. n_max + 2),
+    and scaled by G_{2k+2}/L^{2k+1}.
+    """
+    t = n_max + 1
+    eich = eichler_integral(an_coefficients(model, n_max + 2))    # known below n_max + 3
+    scale = lcm(*range(1, n_max + 3))
+    power = (eich * scale).truncate(t)
+    square = power * power
+    r = eich.invert()                                             # known below n_max + 1
+    for k, g in enumerate(g_numbers(model, 2 * ((n_max - 1) // 2) + 2), start=1):
+        power = (power * square).truncate(t)                      # (L E)^{2k+1}
+        r = r - power * (g / scale ** (2 * k + 1))
+    return r, eich.truncate(t)
+
+
+def s_value(model: EllipticCurveModel, digits: int):
+    """S(Lambda) in Zhat^+ = R - S E: Re S of the lattice, or R[1] at the CM levels, where
+    Zhat^+ has no q^1 term and E = q + ... (R[1] = 0, 0, 0, 1/4 at N = 27, 32, 36, 49).
+    A lattice S farther than 10^-digits from it raises ArithmeticError."""
+    lattice_s = build_lattice(model, digits).s_lambda
+    s = mock_parts(model, 1)[0][1] if model.has_cm else lattice_s.real
+    with mp.workdps(digits + 10):
+        if abs(lattice_s - s) > mpf(10) ** -digits:
+            raise ArithmeticError(f"{model.label}: lattice S = {lattice_s} differs from S = {s}")
+    return s
 
 
 @memo
 def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierSeries:
-    """q-expansion q^-1 + c0 + c1 q + ... of the mock modular form, truncated past q^{n_max}.
-
-    Assembled as 1/E - sum_{k>=1} G_{2k+2}(L) E^{2k+1} - S(L) E with E the Eichler
-    integral and the G_{2k+2} exact over Q (g_numbers); modular degree 1 keeps the
-    result pole-free so no meromorphic correction enters.  Odd powers of E are
-    accumulated Horner-style.
-    """
-    lat = build_lattice(model, precision)
+    """q-expansion q^-1 + c0 + c1 q + ... of the mock modular form, truncated past q^{n_max}."""
+    r, e = mock_parts(model, n_max)
     with mp.workdps(precision + 10):
-        f = an_coefficients(model, n_max + 2)
-        eich = eichler_integral(f).to_mp()          # truncation n_max + 3
-        s_val = _real_part(lat.s_lambda, precision)
-        acc = eich.invert() - eich * s_val          # known below n_max + 1
-        k_top = (n_max - 1) // 2
-        if k_top >= 1:
-            gs = [mpf(g.numerator) / g.denominator for g in g_numbers(model, 2 * k_top + 2)]
-            esq = eich * eich
-            power = eich
-            for k in range(1, k_top + 1):
-                power = power * esq                 # E^{2k+1}
-                acc = acc - gs[k - 1] * power
-        return acc.truncate(n_max + 1)
+        return r.to_mp() - e.to_mp() * s_value(model, precision)
 
 
 def eta_unit(m: int, rel_truncation) -> FourierSeries:
@@ -110,9 +120,8 @@ def eta_derivative_series(conductor: int, n_max) -> FourierSeries:
 
 
 def eta_derivative_deviation(model: EllipticCurveModel, n_max: int, digits: int):
-    """max |(q d/dq Zhat^+)[e] - eta[e]| over e = -1 .. n_max, at `digits` working digits."""
+    """max |(q d/dq Zhat^+)[e] - eta[e]| over e = -1 .. n_max, exact as S is at these levels."""
     eta = eta_derivative_series(model.conductor, n_max + 1)
-    with mp.workdps(digits):
-        dz = zhat_plus(model, n_max, digits).q_derivative()
-        return max(abs(dz[e] - mpf(eta[e].numerator) / eta[e].denominator)
-                   for e in range(-1, n_max + 1))
+    r, e = mock_parts(model, n_max)
+    dz = (r - e * s_value(model, digits)).q_derivative()
+    return max(abs(dz[k] - eta[k]) for k in range(-1, n_max + 1))

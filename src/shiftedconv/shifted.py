@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpf
 
+from .config import memo
 from .curves import EllipticCurveModel
 from .eisenstein import infinity_indicator, basis_for_level
 from .lattice import build_lattice
-from .mockform import zhat_plus
+from .mockform import mock_parts, s_value
 from .newform import an_array, an_coefficients
 from .series import FourierSeries
 
@@ -79,14 +80,6 @@ def d_direct_table(model: EllipticCurveModel, h_max: int, n_terms: int) -> Shift
     return tab
 
 
-def f_zhat_product(model: EllipticCurveModel, h_max: int, digits: int) -> FourierSeries:
-    """f_E * Zhat^+ as a q-expansion with coefficients through q^{h_max}."""
-    with mp.workdps(digits + 10):
-        f = an_coefficients(model, h_max + 1).to_mp()
-        z = zhat_plus(model, h_max + 1, digits)
-        return (f * z).truncate(h_max + 1)
-
-
 def alpha_constant(model: EllipticCurveModel, n_terms_for_d: int, digits: int):
     """The constant multiplying f_E in the closed form.
 
@@ -98,56 +91,56 @@ def alpha_constant(model: EllipticCurveModel, n_terms_for_d: int, digits: int):
 
 
 def alpha_fitted(model: EllipticCurveModel, n_terms_for_d: int, digits: int):
-    """(f Zhat)[1] - (pi/vol) D(1;1) - F^inf[1], regardless of CM (N = 49 experiment).
+    """A_1 - S B_1 - (pi/vol) D(1;1) = A_1 - (pi/vol) D(1;1), as B = f E starts at q^2.
 
-    D(1;1) comes from the smoothed direct sum; the formula defines alpha through
-    that value.
+    Regardless of CM (N = 49 experiment).  D(1;1) comes from the smoothed direct sum;
+    the formula defines alpha through that value.
     """
+    a_part, _ = affine_parts(model, 1)
+    d11 = d_direct(model, 1, n_terms_for_d).value
     with mp.workdps(digits + 10):
-        lat = build_lattice(model, digits)
-        fz1 = f_zhat_product(model, 2, digits)[1]
-        finf1 = infinity_indicator(model.conductor, 2).to_mp()[1]
-        d11 = d_direct(model, 1, n_terms_for_d).value
-        return fz1 - (mp.pi / lat.volume) * d11 - finf1
+        return a_part.to_mp()[1] - (mp.pi / build_lattice(model, digits).volume) * d11
 
 
 def hol_projection_hat(model: EllipticCurveModel, h_max: int, digits: int,
-                       n_terms_for_d: int = 100000, alpha=None) -> FourierSeries:
-    """The rescaled holomorphic projection assembled in closed form: alpha f + F^inf."""
+                       n_terms_for_d: int = 100000) -> FourierSeries:
+    """The rescaled holomorphic projection alpha f + F^inf, `beta_fit`'s default target."""
     with mp.workdps(digits + 10):
-        if alpha is None:
-            alpha = alpha_constant(model, n_terms_for_d, digits)
-        f = an_coefficients(model, h_max).to_mp()
-        finf = infinity_indicator(model.conductor, h_max).to_mp()
-        return (f * alpha + finf).truncate(h_max + 1)
+        alpha = alpha_constant(model, n_terms_for_d, digits)
+        return (an_coefficients(model, h_max).to_mp() * alpha
+                + infinity_indicator(model.conductor, h_max).to_mp())
+
+
+@memo
+def affine_parts(model: EllipticCurveModel, h_max: int) -> tuple:
+    """The exact tables A = f R - F^inf and B = f E through q^{h_max} (R, E: `mock_parts`),
+    so that f Zhat^+ - alpha f - F^inf = A - S B - alpha f.  A_0 = B_0 = 0 and A has no
+    negative power, or ArithmeticError is raised: an upstream inconsistency."""
+    r, e = mock_parts(model, h_max)
+    f = an_coefficients(model, h_max + 1)
+    a_part = (f * r - infinity_indicator(model.conductor, h_max)).truncate(h_max + 1)
+    b_part = (f * e).truncate(h_max + 1)
+    if a_part.leading_exponent < 0 or a_part[0] != 0 or b_part[0] != 0:
+        raise ArithmeticError(f"{model.label}: f Zhat^+ - F^inf fails to cancel: A = {a_part}")
+    return a_part, b_part
 
 
 def l_series_closed_form(model: EllipticCurveModel, h_max: int, digits: int,
                          n_terms_for_d: int = 100000, alpha=None) -> ShiftedConvolutionTable:
-    """Coefficients of (vol/pi) (f Zhat^+ - alpha f - F^inf) as the h-table.
-
-    The q^0 coefficient of the combination must vanish (the q^{-1} one is absent by
-    construction); failure signals an upstream inconsistency.
-    """
+    """D(h; 1) = (vol/pi) (A_h - S B_h - alpha a(h)) for h = 1 .. h_max, with A and B exact
+    (`affine_parts`) and S exact at the CM levels (`s_value`)."""
+    a_part, b_part = affine_parts(model, h_max)
+    if alpha is None:
+        alpha = alpha_constant(model, n_terms_for_d, digits)
+    s = s_value(model, digits)
     with mp.workdps(digits + 10):
-        lat = build_lattice(model, digits)
-        if alpha is None:
-            alpha = alpha_constant(model, n_terms_for_d, digits)
-        combo = (f_zhat_product(model, h_max, digits)
-                 - hol_projection_hat(model, h_max, digits, alpha=alpha))
-        if combo.leading_exponent < 0:
-            raise ArithmeticError("assembly produced negative powers")
-        if abs(combo[0]) > mpf(10) ** (-10):
-            raise ArithmeticError(f"q^0 coefficient fails to cancel: {combo[0]}")
-        scale = lat.volume / mp.pi
-        tab = ShiftedConvolutionTable(
-            model.label, "closed-form",
-            metadata={"alpha": alpha, "h_max": h_max, "digits": digits})
-        for h in range(1, h_max + 1):
-            v = combo[h] * scale
-            tab.entries[h] = v
-            tab.errors[h] = mpf(0)
-        return tab
+        combo = (a_part.to_mp() - b_part.to_mp() * s
+                 - an_coefficients(model, h_max).to_mp() * alpha)
+        scale = build_lattice(model, digits).volume / mp.pi
+        return ShiftedConvolutionTable(
+            model.label, "closed-form", {h: combo[h] * scale for h in range(1, h_max + 1)},
+            dict.fromkeys(range(1, h_max + 1), mpf(0)),
+            {"alpha": alpha, "h_max": h_max, "digits": digits})
 
 
 def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
@@ -158,26 +151,13 @@ def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
     projection is decomposed; the non-infinite betas should be numerically zero and
     beta at infinity 1.
     """
-    N = model.conductor
     with mp.workdps(digits + 10):
-        eb = basis_for_level(N, digits)
-        inds = eb.indicator_qexps(h_max)
+        eb = basis_for_level(model.conductor, digits)
         if target is None:
             target = hol_projection_hat(model, h_max, digits, n_terms_for_d)
-        f = an_coefficients(model, h_max).to_mp()
-        cols = [f] + inds
-        A = mp.matrix(h_max + 1, len(cols))
-        b = mp.matrix(h_max + 1, 1)
-        for r in range(h_max + 1):
-            for j, col in enumerate(cols):
-                A[r, j] = col[r]
-            b[r] = target[r]
+        cols = [an_coefficients(model, h_max).to_mp()] + eb.indicator_qexps(h_max)
+        A = mp.matrix([[col[r] for col in cols] for r in range(h_max + 1)])
+        b = mp.matrix([target[r] for r in range(h_max + 1)])
         # normal equations with the conjugate transpose (indicator columns can be complex)
-        ah = mp.matrix(len(cols), h_max + 1)
-        for r in range(h_max + 1):
-            for j in range(len(cols)):
-                ah[j, r] = mp.conj(A[r, j])
-        x = mp.lu_solve(ah * A, ah * b)
-        alpha_hat = x[0]
-        betas = {cusp: x[1 + j] for j, cusp in enumerate(eb.cusps)}
-        return alpha_hat, betas
+        x = mp.lu_solve(A.H * A, A.H * b)
+        return x[0], {cusp: x[1 + j] for j, cusp in enumerate(eb.cusps)}

@@ -107,7 +107,7 @@ def check_zhat_cm(cfg: PrecisionConfig) -> CheckResult:
 def check_eta_derivative(cfg: PrecisionConfig) -> CheckResult:
     t0 = time.time()
     worst = max(eta_derivative_deviation(get_curve(N), 40, cfg.digits) for N in (27, 32, 36))
-    ok = worst <= mpf("1e-8")
+    ok = worst == 0
     return CheckResult("5-eta-derivative", "q d/dq of the mock form equals the eta quotients (40 coeffs)",
                        ok, {"worst": _str(worst, 3)}, time.time() - t0)
 
@@ -196,7 +196,7 @@ def check_theorem_27(cfg: PrecisionConfig) -> CheckResult:
                           for h in range(1, 31) if h % 3)
         resid = max(abs(float(tab.entries[h]) - d_direct(model, h, cfg.direct_terms).value)
                     for h in (3, 6, 9, 12))
-    ok = off_support <= mpf("1e-6") and direct_zero and resid <= 0.02
+    ok = off_support == 0 and direct_zero and resid <= 0.02
     return CheckResult("8-theorem-n27", "CM closed form: vanishing off 3Z, matches direct on 3Z",
                        ok, {"off_support_max": _str(off_support, 3),
                             "direct_exactly_zero": str(direct_zero),

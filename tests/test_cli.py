@@ -55,6 +55,16 @@ def test_mockform_check_eta(capsys):
     assert "max deviation" in out
 
 
+def test_mockform_json_27a1_prints_exact_zeros(capsys):
+    """Off the support 2 mod 3 every coefficient is an exact zero, printed one way."""
+    code, out, _ = run(capsys, ["mockform", "--label", "27a1", "--n-max", "40", "--format", "json"])
+    rows = json.loads(out)
+    assert code == 0 and [n for n, _ in rows] == list(range(-1, 41))
+    assert all(c == "0.0" for n, c in rows if n % 3 != 2)
+    assert all(c != "0.0" for n, c in rows if n in (-1, 2, 5, 8, 11, 14))
+    assert rows[3] == [2, "0." + "5" + "0" * 63]
+
+
 def test_eisenstein_text(capsys):
     code, out, _ = run(capsys, ["eisenstein", "--level", "11", "--n-max", "6", "--digits", "32"])
     assert code == 0
@@ -170,6 +180,14 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["eisenstein", "--level", "11", "--n-max", "-1"], ">= 0"),
     (["lattice", "--label", "11a1", "--digits", "10"], ">= 30"),
     (["verify", "--digits", "29"], ">= 30"),
+    (["poincare", "--level", "11", "--index", "0"], ">= 1"),
+    (["poincare", "--level", "11", "--index", "-1"], ">= 1"),
+    (["poincare", "--level", "11", "--n-max", "0"], ">= 1"),
+    (["poincare", "--level", "11", "--n-max", "-3", "--maass"], ">= 1"),
+    (["poincare", "--level", "11", "--weight", "1"], "positive even integer"),
+    (["poincare", "--level", "11", "--weight", "3"], "positive even integer"),
+    (["poincare", "--level", "11", "--weight", "0", "--maass"], "positive even integer"),
+    (["poincare", "--level", "11", "--weight", "-2"], "positive even integer"),
 ])
 def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -191,3 +209,7 @@ def test_inputs_at_the_limits_are_accepted():
     assert build_parser().parse_args(["coeffs", "--label", "11a1", "--n-max", "1"]).n_max == 1
     assert build_parser().parse_args(["eisenstein", "--level", "11", "--n-max", "0"]).n_max == 0
     assert build_parser().parse_args(["mockform", "--label", "11a1", "--n-max", "0"]).n_max == 0
+    args = build_parser().parse_args(["poincare", "--level", "11", "--index", "1", "--n-max", "1",
+                                      "--weight", "2"])
+    assert (args.index, args.n_max, args.weight) == (1, 1, 2)
+    assert build_parser().parse_args(["poincare", "--level", "11", "--weight", "4"]).weight == 4

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from shiftedconv.curves import get_curve
-from shiftedconv.mockform import eta_derivative_series, eta_quotient, eta_unit, zhat_plus
+from shiftedconv.lattice import g_numbers
+from shiftedconv.newform import an_coefficients, eichler_integral
+from shiftedconv.mockform import (eta_derivative_deviation, eta_derivative_series, eta_quotient,
+                                  eta_unit, mock_parts, s_value, zhat_plus)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -33,9 +37,11 @@ CM_ANCHORS = {
 
 @pytest.mark.parametrize("label", sorted(CM_ANCHORS))
 def test_zhat_cm_rationals(label):
-    z = zhat_plus(get_curve(label), 16, 64)
+    """S = 0 at these levels, so Zhat^+ is the exact R."""
+    assert s_value(get_curve(label), 64) == 0
+    r, _ = mock_parts(get_curve(label), 16)
     for n, w in CM_ANCHORS[label]:
-        assert abs(z[n] - mpf(w.numerator) / w.denominator) < mpf("1e-10"), (label, n)
+        assert r[n] == w, (label, n)
 
 
 SUPPORT_MOD = {"27a1": 3, "32a1": 4, "36a1": 6}
@@ -45,9 +51,34 @@ SUPPORT_MOD = {"27a1": 3, "32a1": 4, "36a1": 6}
 def test_zhat_support(label):
     n0 = SUPPORT_MOD[label]
     z = zhat_plus(get_curve(label), 40, 64)
-    for e in sorted(z.coeffs):
-        if abs(z[e]) > mpf(10) ** -40:
-            assert e % n0 == n0 - 1, (label, e)
+    assert all(e % n0 == n0 - 1 for e in z.coeffs if z[e] != 0), label
+
+
+@pytest.mark.parametrize("label", ("11a1", "49a1"))
+def test_mock_parts_match_plain_fraction_powers(label):
+    """The integer-scaled powers of E give the R of plain Fraction powers, bit for bit."""
+    model = get_curve(label)
+    r, e = mock_parts(model, 20)
+    eich = eichler_integral(an_coefficients(model, 22))
+    want = eich.invert()
+    power = eich
+    for g in g_numbers(model, 20):
+        power = power * eich * eich
+        want = want - power * g
+    assert r == want.truncate(21) and e == eich.truncate(21) and r.leading_exponent == -1
+    assert all(isinstance(c, (int, Fraction)) for c in (*r.coeffs.values(), *e.coeffs.values()))
+
+
+def test_s_value_rejects_a_lattice_s_off_r1_or_off_the_real_line(monkeypatch):
+    import shiftedconv.mockform as M
+    lattice = SimpleNamespace(s_lambda=mpf("1e-50"))
+    monkeypatch.setattr(M, "build_lattice", lambda model, digits: lattice)
+    assert s_value(get_curve("11a1"), 64) == mpf("1e-50")
+    with pytest.raises(ArithmeticError, match="differs from S = 0"):
+        s_value(get_curve("27a1"), 64)
+    lattice.s_lambda = mpc("0.38", "1e-50")
+    with pytest.raises(ArithmeticError, match="lattice S"):
+        s_value(get_curve("11a1"), 64)
 
 
 def test_zhat_precision_doubling():
@@ -83,13 +114,9 @@ def test_eta_quotient_inverse_has_integer_coefficients():
 
 @pytest.mark.parametrize("N", (27, 32, 36))
 def test_eta_derivative_identity(N):
-    z = zhat_plus(get_curve(N), 40, 64)
-    dz = z.q_derivative()
-    eta = eta_derivative_series(N, 41)
-    for e in range(-1, 41):
-        c = eta[e] if e >= eta.leading_exponent else 0
-        cf = mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpf(c)
-        assert abs(dz[e] - cf) < mpf("1e-8"), (N, e)
+    r, _ = mock_parts(get_curve(N), 40)
+    assert r.q_derivative() == eta_derivative_series(N, 41)
+    assert eta_derivative_deviation(get_curve(N), 40, 64) == 0
 
 
 def test_eta_table_row_27_effectively():

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
-from shiftedconv.curves import get_curve
-from shiftedconv.shifted import (alpha_constant, beta_fit, d_direct, d_direct_table,
+from shiftedconv.curves import LABELS, get_curve
+from shiftedconv.shifted import (affine_parts, alpha_constant, beta_fit, d_direct, d_direct_table,
                                  hol_projection_hat, l_series_closed_form,
                                  support_modulus)
 
@@ -88,10 +90,25 @@ def test_closed_27a1_vanishing_and_match():
     tab = l_series_closed_form(get_curve("27a1"), 12, 64)
     for h in range(1, 13):
         if h % 3:
-            assert abs(tab.entries[h]) < mpf("1e-6"), h
+            assert tab.entries[h] == 0, h
     for h in (3, 6, 9, 12):
         dv = d_direct(get_curve("27a1"), h, N_TERMS)
         assert abs(float(tab.entries[h]) - dv.value) <= 0.02, h
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_closed_form_is_exact_affine_and_stable_in_digits(label):
+    """A and B are exact with A_0 = B_0 = 0; 64 and 80 digits agree to 10^-64 (1 + |x|)."""
+    model = get_curve(label)
+    a_part, b_part = affine_parts(model, 30)
+    assert all(isinstance(c, (int, Fraction))
+               for c in (*a_part.coeffs.values(), *b_part.coeffs.values()))
+    assert a_part[0] == b_part[0] == 0 and a_part.leading_exponent > 0
+    # a short direct sum fixes alpha; it is a float, the same at both precisions
+    lo, hi = (l_series_closed_form(model, 30, d, 5_000) for d in (64, 80))
+    with mp.workdps(90):
+        for h, x in hi.entries.items():
+            assert abs(lo.entries[h] - x) <= mpf(10) ** -64 * (1 + abs(x)), h
 
 
 def test_beta_fit_11a1():
