@@ -34,13 +34,6 @@ def _integer(lo, hi=None):
     return parse
 
 
-def _positive_even(text):
-    """An argparse type accepting the weights 2, 4, 6, ..."""
-    if not text.isdecimal() or int(text) < 2 or int(text) % 2:
-        raise argparse.ArgumentTypeError(f"must be a positive even integer, got {text!r}")
-    return int(text)
-
-
 def _nstr(x, digits):
     """`digits` significant digits; an exact zero and an mp zero both print as 0.0."""
     return mpmath.nstr(mpmath.mpmathify(x), digits, strip_zeros=False)
@@ -140,10 +133,10 @@ def cmd_eisenstein(args):
 def cmd_poincare(args):
     if args.maass:
         ns = range(0, args.n_max + 1)
-        coeffs = bq_coefficient(args.index, args.weight, args.level, ns, args.c_max)
+        coeffs = bq_coefficient(args.level, ns, args.c_max)
     else:
         ns = range(1, args.n_max + 1)
-        coeffs = bp_coefficient(args.index, args.weight, args.level, ns, args.c_max)
+        coeffs = bp_coefficient(args.level, ns, args.c_max)
     rows = [{"n": n, "value": repr(r.value), "tail_estimate": repr(r.tail_estimate)}
             for n, r in zip(ns, coeffs)]
     if args.format == "json":
@@ -240,11 +233,9 @@ def build_parser():
 
     s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--index", type=_integer(1), default=1)
-    s.add_argument("--weight", type=_positive_even, default=2)
     s.add_argument("--n-max", type=_integer(1), default=10)
     s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
-    s.add_argument("--maass", action="store_true", help="Maass-Poincare b_Q instead of b_P")
+    s.add_argument("--maass", action="store_true", help="b_Q(-1, 2, N; n) of the Maass-Poincare series instead of b_P(1, 2, N; n)")
     s.set_defaults(fn=cmd_poincare)
 
     s = _options(sub.add_parser("lseries", help="shifted convolution L-values"), digits=True,

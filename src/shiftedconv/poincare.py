@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from math import factorial, gcd, inf, lcm, pi
+from math import inf, lcm, pi
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .curves import SUPPORTED_CONDUCTORS
 
 _TWO_PI = 2 * np.pi
 
@@ -49,27 +51,29 @@ def _units(c: int):
     return ds, dbars
 
 
-def _kloosterman_table(g: int, q: int) -> np.ndarray:
-    """K(g, t; q) for t = 0 .. q-1: the DFT of e(-g dbar/q) over the units d mod q.
+def _kloosterman_table(q: int) -> np.ndarray:
+    """K(1, t; q) for t = 0 .. q-1: the DFT of e(-dbar/q) over the units d mod q.
 
-    K(g, t; q) is real, so it equals sum_d e(-(g dbar + t d)/q), entry t of the DFT.
+    K(1, t; q) is real, so it equals sum_d e(-(dbar + t d)/q), entry t of the DFT.
     """
     ds, dbars = _units(q)
     u = np.zeros(q, dtype=complex)
-    u[ds] = np.exp(-1j * (_TWO_PI / q) * (g * dbars % q))
+    u[ds] = np.exp(-1j * (_TWO_PI / q) * dbars)
     return np.fft.fft(u).real.copy()  # not a view that keeps the complex array alive
 
 
 def kloosterman_row(m: int, ns: np.ndarray, c: int, tables: dict | None = None) -> np.ndarray:
-    """Double-precision K(m, n; c) for every n in the int64 array `ns`.
+    """Double-precision K(m, n; c), m = 1 or -1, for every n in the int64 array `ns`.
 
     K(m, n; c) is the product over the prime powers q || c of K(m rbar, n rbar; q),
-    where rbar is the inverse of c/q mod q (twisted multiplicativity).  Write
-    m rbar = g a mod q with g = gcd(m rbar, q); a is then a unit mod q, and
-    substituting d -> a d turns the factor into K(g, a rbar n; q).  It is read from
-    the table of K(g, t; q), t mod q, kept in `tables` under (q, g) and built on
-    first use; a caller that passes one dict for many moduli builds each table once.
+    where rbar is the inverse of c/q mod q (twisted multiplicativity).  m rbar is a
+    unit mod q, and substituting d -> m rbar d turns the factor into
+    K(1, m rbar^2 n; q).  It is read from the table of K(1, t; q), t mod q, kept in
+    `tables` under q and built on first use; a caller that passes one dict for many
+    moduli builds each table once.
     """
+    if m not in (1, -1):
+        raise ValueError("index must be 1 or -1")
     if c < 1:
         raise ValueError("modulus must be positive")
     if tables is None:
@@ -78,64 +82,51 @@ def kloosterman_row(m: int, ns: np.ndarray, c: int, tables: dict | None = None) 
     for p, e in _factors(c):
         q = p ** e
         rbar = pow(c // q, -1, q)
-        a = m * rbar % q
-        g = gcd(a, q)  # q when a = 0
-        table = tables.get((q, g))
+        table = tables.get(q)
         if table is None:
-            table = tables[q, g] = _kloosterman_table(g, q)
-        out *= table[(a // g or 1) * rbar % q * ns % q]
+            table = tables[q] = _kloosterman_table(q)
+        out *= table[m * rbar * rbar % q * ns % q]
     return out
 
 
-def _bessel_series(order: int, x: float, sign: int) -> float:
-    """sum_k sign^k (x/2)^(2k+order) / (k! (k+order)!) for x >= 0, correctly rounded.
+def _bessel_series(x: float, sign: int) -> float:
+    """sum_k sign^k (x/2)^(2k+1) / (k! (k+1)!) for x >= 0, J_1 (sign -1) or I_1 (sign 1),
+    correctly rounded.
 
     The terms are Python integers scaled by 2^B.  Each is the floor of the last one
-    times the exact ratio (x/2)^2 / (k (k+order)), so it falls short of the true term
+    times the exact ratio (x/2)^2 / (k (k+1)), so it falls short of the true term
     by less than (k+1) max(1, P_k) <= (k+1) e^x units, P_k being the ratio of term k
     to term 0.  The sum stops at the first zero term K past which every ratio is below
     1/2, so the terms left out add up to at most the shortfall of term K, and the sum
     is within (K+2)^2 e^x units of the series.  B starts at 64 bits plus what the
-    cancellation (e^x) and a small leading term (x/2)^order / order! cost, and doubles
-    until both ends of that error interval round to the same double (Ziv's strategy),
-    which is then the correctly rounded value.  No mpmath precision enters.
+    cancellation (e^x) and a small leading term x/2 cost, and doubles until both ends
+    of that error interval round to the same double (Ziv's strategy), which is then
+    the correctly rounded value.  No mpmath precision enters.
     """
     if x == 0:
-        return float(order == 0)
+        return 0.0
     p, q = x.as_integer_ratio()
     s = q.bit_length()  # x/2 = p / 2^s, as q is a power of two
     p2, shift = p * p, 2 * s  # (x/2)^2 = p2 / 2^shift
-    stop = 2 * p2 >> shift  # past k (k+order) > 2 (x/2)^2 every ratio is below 1/2
+    stop = 2 * p2 >> shift  # past k (k+1) > 2 (x/2)^2 every ratio is below 1/2
     cancel = int(x * 1.4426950408889634) + 2  # e^x < 2^cancel
-    lead = factorial(order)
-    # the leading term (x/2)^order / order! exceeds 2^-small
-    small = lead.bit_length() - order * (p.bit_length() - 1 - s)
+    small = s + 2 - p.bit_length()  # the leading term x/2 exceeds 2^-small
     bits = 64 + cancel + max(0, small)
     while True:
-        term = (p ** order << bits) // (lead << s * order)
+        term = (p << bits) >> s
         total, k = term, 0
-        while term or k * (k + order) <= stop:
+        while term or k * (k + 1) <= stop:
             k += 1
-            term = (term * p2 >> shift) // (k * (k + order))
+            term = (term * p2 >> shift) // (k * (k + 1))
             total += -term if sign < 0 and k & 1 else term
         err = (k + 2) ** 2 << cancel
         try:
             lo, hi = (total - err) / (1 << bits), (total + err) / (1 << bits)
-        except OverflowError:  # I_order(x) beyond the largest double
+        except OverflowError:  # I_1(x) beyond the largest double
             return inf
         if lo == hi:
             return lo
         bits *= 2
-
-
-def _bessel_j(order: int, x: float) -> float:
-    """J_order(x) for x >= 0, correctly rounded to double."""
-    return _bessel_series(order, float(x), -1)
-
-
-def _bessel_i(order: int, x: float) -> float:
-    """I_order(x) for x >= 0, correctly rounded to double."""
-    return _bessel_series(order, float(x), 1)
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -143,15 +134,15 @@ _PASS_X_MAX = 4.0  # the array pass covers 0 <= x <= 4, z = (x/2)^2 <= 4
 _PASS_ULPS = 4  # a pass value is kept when its error bound is at most this many ulps
 
 
-def _bessel_pass(order: int, x: np.ndarray, sign: int):
+def _bessel_pass(x: np.ndarray, sign: int):
     """The series of `_bessel_series` at every entry of the float64 array x, with error bounds.
 
     Returns (values, bounds) with |value - series(x)| <= bound, to first order in the
     unit roundoff u = 2^-53; bound is inf where x > 4, which the pass does not cover.
-    With z = (x/2)^2, w_k = sign z / (k (k+order)) and r_(k-1) = 1 + w_k r_k, the
-    series is t_0 r_0, t_0 = (x/2)^order / order!.  Horner's scheme runs k = K .. 1
-    from r_K = 1 for all entries at once, with K fixed by order alone: the first K
-    with w_(K+1) <= 1/2 and w_1 ... w_(K+1) < 2^-60 at z = 4.
+    With z = (x/2)^2, w_k = sign z / (k (k+1)) and r_(k-1) = 1 + w_k r_k, the series
+    is (x/2) r_0.  Horner's scheme runs k = K .. 1 from r_K = 1 for all entries at
+    once, with K the first index with w_(K+1) <= 1/2 and w_1 ... w_(K+1) < 2^-60 at
+    z = 4.
 
     Running error bound (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).
     The computed z^ = z (1 + d) and w^_k = w_k (1 + d)(1 + d_k); then p^_k = fl(w^_k r^_k)
@@ -166,13 +157,12 @@ def _bessel_pass(order: int, x: np.ndarray, sign: int):
 
     bounds the error of r^_(k-1).  It starts from e_K = 2 |w^_(K+1)|, which bounds the
     omitted tail r_K - 1 = w_(K+1) (1 + w_(K+2) (1 + ...)), as the |w_j| decrease from
-    at most 1/2.  t^_0 takes order - 1 products and one division by order! (neither
-    for order <= 1), so |t^_0 - t_0| <= order u |t_0| for order >= 2 and 0 below; the
-    product t^_0 r^_0 rounds once more.  In all,
+    at most 1/2.  The leading factor x/2 is exact, and the product (x/2) r^_0 rounds
+    once more.  In all,
 
-        bound = u (1 + [order >= 2] order) |value| + |t^_0| e_0.
+        bound = u |value| + (x/2) e_0.
 
-    Where J's series cancels, e_0 is large against r^_0 and so is the bound.
+    Where J_1's series cancels, e_0 is large against r^_0 and so is the bound.
     """
     inside = x <= _PASS_X_MAX
     h = np.where(inside, x, 0.0) * 0.5  # exact
@@ -180,36 +170,31 @@ def _bessel_pass(order: int, x: np.ndarray, sign: int):
     big = (_PASS_X_MAX / 2) ** 2
     terms, ratio = 0, 1.0
     while True:
-        w_next = big / ((terms + 1) * (terms + 1 + order))
+        w_next = big / ((terms + 1) * (terms + 2))
         ratio *= w_next
         if w_next <= 0.5 and ratio < 2.0 ** -60:
             break
         terms += 1
     sz = sign * z
     r = np.ones_like(z)
-    err = 2 * np.abs(sz / ((terms + 1) * (terms + 1 + order)))
+    err = 2 * np.abs(sz / ((terms + 1) * (terms + 2)))
     for k in range(terms, 0, -1):
-        w = sz / (k * (k + order))
+        w = sz / (k * (k + 1))
         p = w * r
         r = 1 + p
         err = _U * (np.abs(r) + 3 * np.abs(p)) + np.abs(w) * err
-    lead = h if order else np.ones_like(z)
-    for _ in range(order - 1):
-        lead = lead * h
-    if order >= 2:
-        lead = lead / factorial(order)
-    values = lead * r
-    bounds = _U * (1 + (order if order >= 2 else 0)) * np.abs(values) + np.abs(lead) * err
+    values = h * r
+    bounds = _U * np.abs(values) + np.abs(h) * err
     bounds[~inside] = inf
     return values, bounds
 
 
-def _bessel_array(order: int, x: np.ndarray, sign: int) -> np.ndarray:
+def _bessel_array(x: np.ndarray, sign: int) -> np.ndarray:
     """`_bessel_series` at every entry of x: the array pass where its bound is at most
     4 ulps of its value, the correctly rounded scalar series everywhere else."""
-    values, bounds = _bessel_pass(order, x, sign)
+    values, bounds = _bessel_pass(x, sign)
     slow = ~(bounds <= _PASS_ULPS * np.spacing(np.abs(values)))
-    values[slow] = [_bessel_series(order, v, sign) for v in x[slow].tolist()]
+    values[slow] = [_bessel_series(v, sign) for v in x[slow].tolist()]
     return values
 
 
@@ -218,32 +203,32 @@ class CoefficientSum(NamedTuple):
     tail_estimate: float
 
 
-def _c_series(m: int, ns: Sequence[int], N: int, c_max: int, order: int, sign: int):
+def _c_series(ns: Sequence[int], N: int, c_max: int, sign: int):
     """Sum the c-terms of b_P (sign -1) or b_Q (sign 1) over c = N, 2N, ... <= c_max.
 
-    The term at (c, n) is K(m, n; c)/c times J_order (sign -1) or I_order (sign 1) at
-    4 pi sqrt(|m| n)/c, and K(m, 0; c)/c^(order+1) at n = 0.  The rows K(m, ns; c) are
+    The term at (c, n) is K(-sign, n; c)/c times J_1 (sign -1) or I_1 (sign 1) at
+    4 pi sqrt(n)/c, and K(-sign, 0; c)/c^2 at n = 0.  The rows K(-sign, ns; c) are
     gathered one modulus at a time into an array, whose Bessel factors then come from
     one `_bessel_array` pass.  Returns (totals, tails) as lists, each total summed in
     c order; a tail is the accumulated magnitude of the terms of the last decade,
     c > 0.9 c_max.  The Kloosterman tables are shared by the moduli of this call and
     dropped when it returns.
     """
-    if N < 1:
-        raise ValueError("level must be positive")
+    if N not in SUPPORTED_CONDUCTORS:
+        raise ValueError(f"level must be one of {SUPPORTED_CONDUCTORS}, got {N}")
     rows = np.asarray(ns, dtype=np.int64)
     cs = np.arange(N, c_max + 1, N)
     tables = {}
     kl = np.empty((len(cs), len(rows)))
     for j, c in enumerate(cs.tolist()):
-        kl[j] = kloosterman_row(m, rows, c, tables)
+        kl[j] = kloosterman_row(-sign, rows, c, tables)
     col = cs[:, None].astype(float)
     zero = rows == 0
-    args = 4 * np.pi * np.sqrt(abs(m) * rows[~zero].astype(float))
+    args = 4 * np.pi * np.sqrt(rows[~zero].astype(float))
     terms = np.empty_like(kl)
-    terms[:, ~zero] = kl[:, ~zero] * _bessel_array(order, args / col, sign) / col
+    terms[:, ~zero] = kl[:, ~zero] * _bessel_array(args / col, sign) / col
     if zero.any():
-        terms[:, zero] = kl[:, zero] / np.array([float(c ** (order + 1)) for c in cs.tolist()])[:, None]
+        terms[:, zero] = kl[:, zero] / np.array([float(c ** 2) for c in cs.tolist()])[:, None]
     return _sum_in_order(terms).tolist(), _sum_in_order(np.abs(terms[cs > 0.9 * c_max])).tolist()
 
 
@@ -252,49 +237,40 @@ def _sum_in_order(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] if len(a) else np.zeros(a.shape[1])
 
 
-def bp_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
-    """Fourier coefficients b_P(m, k, N; n), n in `ns`, of the weight-k index-m Poincare series.
+def bp_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
+    """Fourier coefficients b_P(1, 2, N; n), n in `ns`, of the weight-2 Poincare series of index 1.
 
-    (n/m)^{(k-1)/2} (delta_{mn} + 2 pi i^{-k} sum_{N | c <= c_max}
-                     J_{k-1}(4 pi sqrt(mn)/c) K(m,n;c)/c)
+    sqrt(n) (delta_{1n} - 2 pi sum_{N | c <= c_max} J_1(4 pi sqrt(n)/c) K(1,n;c)/c)
 
-    in the classical Petersson normalization, one entry per index.  Each modulus c
-    is visited once for all n.  The tail estimate is the accumulated magnitude of
-    the last decade of c-terms.
+    in the classical Petersson normalization, one entry per index; N is one of the
+    ten levels.  Each modulus c is visited once for all n.  The tail estimate is the
+    accumulated magnitude of the last decade of c-terms.
     """
-    if k < 2 or k % 2:
-        raise ValueError("weight must be a positive even integer")
-    if m < 1 or any(n < 1 for n in ns):
+    if any(n < 1 for n in ns):
         raise ValueError("indices must be positive")
-    sign = (-1) ** (k // 2)  # i^{-k}
-    totals, tails = _c_series(m, ns, N, c_max, k - 1, -1)
+    totals, tails = _c_series(ns, N, c_max, -1)
     out = []
     for n, total, tail in zip(ns, totals, tails):
-        front = (n / m) ** ((k - 1) / 2)
-        value = front * ((1.0 if m == n else 0.0) + 2 * np.pi * sign * total)
+        front = n ** 0.5
+        value = front * ((1.0 if n == 1 else 0.0) - 2 * np.pi * total)
         out.append(CoefficientSum(value, front * 2 * np.pi * tail))
     return out
 
 
-def bq_coefficient(m: int, k: int, N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
-    """Fourier coefficients b_Q(-m, k, N; n), n in `ns`, of the index--m Maass-Poincare series.
+def bq_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
+    """Fourier coefficients b_Q(-1, 2, N; n), n in `ns`, of the weight-2 Maass-Poincare series
+    of index -1.
 
-    n >= 1:  -2 pi (-1)^(k/2) (m/n)^{(k-1)/2} sum_{N|c} K(-m, n; c)/c I_{k-1}(4 pi sqrt(mn)/c)
-    n == 0:  -(2^k pi^k (-1)^(k/2) m^{k-1}/(k-1)!) sum_{N|c} K(-m, 0; c)/c^k
+    n >= 1:  2 pi n^{-1/2} sum_{N|c} K(-1, n; c)/c I_1(4 pi sqrt(n)/c)
+    n == 0:  4 pi^2 sum_{N|c} K(-1, 0; c)/c^2
 
-    One entry per index; each modulus c is visited once for all n.
+    One entry per index, N one of the ten levels; each modulus c is visited once for all n.
     """
-    if k < 2 or k % 2:
-        raise ValueError("weight must be a positive even integer")
-    if m < 1 or any(n < 0 for n in ns):
-        raise ValueError("index must be positive and n nonnegative")
-    sign = (-1) ** (k // 2)
-    totals, tails = _c_series(-m, ns, N, c_max, k - 1, 1)
+    if any(n < 0 for n in ns):
+        raise ValueError("indices must be nonnegative")
+    totals, tails = _c_series(ns, N, c_max, 1)
     out = []
     for n, total, tail in zip(ns, totals, tails):
-        if n == 0:
-            front = -(2 ** k) * pi ** k * sign * m ** (k - 1) / factorial(k - 1)
-        else:
-            front = -2 * np.pi * sign * (m / n) ** ((k - 1) / 2)
-        out.append(CoefficientSum(front * total, abs(front) * tail))
+        front = 4 * pi ** 2 if n == 0 else 2 * np.pi * (1 / n) ** 0.5
+        out.append(CoefficientSum(front * total, front * tail))
     return out

@@ -15,7 +15,7 @@ from .config import PrecisionConfig
 from .curves import CM_DISCRIMINANTS, load_registry, get_curve
 from .eisenstein import basis_for_level, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
-from .mockform import zhat_plus, eta_derivative_deviation, eta_quotient
+from .mockform import eta_derivative_deviation, eta_quotient, mock_parts, s_value, zhat_plus
 from .newform import an_coefficients, an_array, _smallest_prime_factors
 from .poincare import _factors, bp_coefficient
 from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
@@ -35,8 +35,11 @@ class CheckResult:
 
 
 def _str(x, digits=12):
-    if isinstance(x, (int, Fraction, str)):
-        return str(x)
+    """A detail value as text; every zero, exact or mp, prints as 0.0, as in the CLI."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return str(x) if x else "0.0"
     if isinstance(x, float):
         return repr(x)
     return mpmath.nstr(x, digits)
@@ -92,14 +95,16 @@ def check_zhat_11(cfg: PrecisionConfig) -> CheckResult:
 
 
 def check_zhat_cm(cfg: PrecisionConfig) -> CheckResult:
+    """Compares Zhat^+[n] = (R - S E)[n] with the reference rationals exactly; S is the
+    rational R[1] at these levels."""
     t0 = time.time()
-    worst = mpf(0)
-    with mp.workdps(cfg.digits):
-        for label, anchors in REF_CM_RATIONALS.items():
-            z = zhat_plus(get_curve(label), 16, cfg.digits)
-            for n, want in anchors:
-                worst = max(worst, abs(z[n] - mpf(want.numerator) / want.denominator))
-    ok = worst <= mpf("1e-10")
+    worst = 0
+    for label, anchors in REF_CM_RATIONALS.items():
+        model = get_curve(label)
+        r, e = mock_parts(model, 16)
+        s = s_value(model, cfg.digits)
+        worst = max(worst, *(abs(r[n] - s * e[n] - want) for n, want in anchors))
+    ok = worst == 0
     return CheckResult("4-zhat-cm-rationals", "CM mock form coefficients are the reference rationals",
                        ok, {"worst": _str(worst, 3)}, time.time() - t0)
 
@@ -210,7 +215,7 @@ def check_poincare(cfg: PrecisionConfig) -> CheckResult:
         lat = build_lattice(model, cfg.digits)
         volpi = float(lat.volume / mp.pi)
     a = an_array(model, 10)
-    bp = bp_coefficient(1, 2, 11, range(1, 11), cfg.kloosterman_c_max)
+    bp = bp_coefficient(11, range(1, 11), cfg.kloosterman_c_max)
     worst = max(abs(volpi * r.value - int(a[n])) for n, r in enumerate(bp, start=1))
     rt = time.time() - t0
     ok = worst <= 1e-2 and rt < 60

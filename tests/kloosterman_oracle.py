@@ -1,22 +1,24 @@
 """Kloosterman sums and the per-n c-sums of the Poincare series, kept as test oracles.
 
-`poincare.bp_coefficient` and `bq_coefficient` visit each modulus once for all n
-and read K(m, n; c) as a product of DFT tables over the prime powers of c.  This
-module sums K(m, n; c) directly over the units of c instead: `kloosterman` in
+`poincare.bp_coefficient` and `bq_coefficient` compute b_P(1, 2, N; n) and
+b_Q(-1, 2, N; n), visiting each modulus once for all n and reading K(+-1, n; c) as
+a product of DFT tables of K(1, t; q) over the prime powers q of c.  This module
+sums K(m, n; c), for any m, directly over the units of c instead: `kloosterman` in
 mpmath at the ambient precision, `kloosterman_float` in double precision from
 units listed with `gcd` and `pow`.  `bp_per_n` and `bq_per_n` run one c-sum per n
-with `kloosterman_float`.  The two paths add up different roundings, so they agree
-to a tolerance, not bit for bit.  The listing starts at d = 0, which is a unit only
-for c = 1, so K(m, n; 1) = 1 needs no special case.
+with `kloosterman_float` and the scalar series `poincare._bessel_series` for J_1
+and I_1.  The two paths add up different roundings, so they agree to a tolerance,
+not bit for bit.  The listing starts at d = 0, which is a unit only for c = 1, so
+K(m, n; 1) = 1 needs no special case.
 """
 
 from functools import cache
-from math import factorial, gcd, pi
+from math import gcd, pi
 
 import numpy as np
 from mpmath import mp, mpf
 
-from shiftedconv.poincare import CoefficientSum, _bessel_i, _bessel_j
+from shiftedconv.poincare import CoefficientSum, _bessel_series
 
 _TWO_PI = 2 * np.pi
 
@@ -55,38 +57,38 @@ def kloosterman_float(m: int, n: int, c: int) -> float:
     return float(np.cos(ang).sum())
 
 
-def bp_per_n(m: int, k: int, N: int, n: int, c_max: int) -> CoefficientSum:
-    front = (n / m) ** ((k - 1) / 2)
-    sign = (-1) ** (k // 2)
-    arg0 = 4 * np.pi * np.sqrt(m * n)
+def bp_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
+    """b_P(1, 2, N; n) as `poincare.bp_coefficient` defines it, one c-term at a time."""
+    front = n ** 0.5
+    arg0 = 4 * np.pi * np.sqrt(n)
     total = 0.0
     tail = 0.0
     for c in range(N, c_max + 1, N):
-        term = _bessel_j(k - 1, arg0 / c) * kloosterman_float(m, n, c) / c
+        term = _bessel_series(arg0 / c, -1) * kloosterman_float(1, n, c) / c
         total += term
         if c > 0.9 * c_max:
             tail += abs(term)
-    value = front * ((1.0 if m == n else 0.0) + 2 * np.pi * sign * total)
+    value = front * ((1.0 if n == 1 else 0.0) - 2 * np.pi * total)
     return CoefficientSum(value, front * 2 * np.pi * tail)
 
 
-def bq_per_n(m: int, k: int, N: int, n: int, c_max: int) -> CoefficientSum:
-    sign = (-1) ** (k // 2)
+def bq_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
+    """b_Q(-1, 2, N; n) as `poincare.bq_coefficient` defines it, one c-term at a time."""
     total = 0.0
     tail = 0.0
     if n == 0:
-        front = -(2 ** k) * pi ** k * sign * m ** (k - 1) / factorial(k - 1)
+        front = 4 * pi ** 2
         for c in range(N, c_max + 1, N):
-            term = kloosterman_float(-m, 0, c) / c ** k
+            term = kloosterman_float(-1, 0, c) / c ** 2
             total += term
             if c > 0.9 * c_max:
                 tail += abs(term)
-        return CoefficientSum(front * total, abs(front) * tail)
-    front = -2 * np.pi * sign * (m / n) ** ((k - 1) / 2)
-    arg0 = 4 * np.pi * np.sqrt(m * n)
+        return CoefficientSum(front * total, front * tail)
+    front = 2 * np.pi * (1 / n) ** 0.5
+    arg0 = 4 * np.pi * np.sqrt(n)
     for c in range(N, c_max + 1, N):
-        term = kloosterman_float(-m, n, c) / c * _bessel_i(k - 1, arg0 / c)
+        term = kloosterman_float(-1, n, c) / c * _bessel_series(arg0 / c, 1)
         total += term
         if c > 0.9 * c_max:
             tail += abs(term)
-    return CoefficientSum(front * total, abs(front) * tail)
+    return CoefficientSum(front * total, front * tail)

@@ -98,7 +98,7 @@ def test_criterion_08b_cm_sweep_32_36():
         tab = l_series_closed_form(model, 12, CFG.digits)
         for h in range(1, 13):
             if h % n0:
-                assert abs(tab.entries[h]) < 1e-6, (label, h)
+                assert tab.entries[h] == 0, (label, h)
                 assert d_direct(model, h, 2000).value == 0.0
             else:
                 dv = d_direct(model, h, CFG.direct_terms)
@@ -152,3 +152,10 @@ def test_criterion_12_n49_experiment_report():
     result = _run(V.check_n49_experiment)
     assert result.passed  # report-only: must be produced, values not gated
     assert "alpha_fitted" in result.details
+
+
+def test_details_print_every_zero_as_0_0():
+    from fractions import Fraction
+    from mpmath import mpf
+    assert V._str(0) == V._str(Fraction(0)) == V._str(mpf(0)) == "0.0"
+    assert (V._str(-15), V._str(Fraction(1, 5))) == ("-15", "1/5")

@@ -151,6 +151,8 @@ def test_verify_label_filter_runs_property_checks(capsys):
     ["verify", "--curve-file", "f"],
     ["curves", "--curve-file", "f"],
     ["lseries", "--label", "11a1", "--curve-file", "f"],
+    ["poincare", "--level", "11", "--index", "1"],
+    ["poincare", "--level", "11", "--weight", "2"],
 ])
 def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -180,14 +182,8 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["eisenstein", "--level", "11", "--n-max", "-1"], ">= 0"),
     (["lattice", "--label", "11a1", "--digits", "10"], ">= 30"),
     (["verify", "--digits", "29"], ">= 30"),
-    (["poincare", "--level", "11", "--index", "0"], ">= 1"),
-    (["poincare", "--level", "11", "--index", "-1"], ">= 1"),
     (["poincare", "--level", "11", "--n-max", "0"], ">= 1"),
     (["poincare", "--level", "11", "--n-max", "-3", "--maass"], ">= 1"),
-    (["poincare", "--level", "11", "--weight", "1"], "positive even integer"),
-    (["poincare", "--level", "11", "--weight", "3"], "positive even integer"),
-    (["poincare", "--level", "11", "--weight", "0", "--maass"], "positive even integer"),
-    (["poincare", "--level", "11", "--weight", "-2"], "positive even integer"),
 ])
 def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -209,7 +205,4 @@ def test_inputs_at_the_limits_are_accepted():
     assert build_parser().parse_args(["coeffs", "--label", "11a1", "--n-max", "1"]).n_max == 1
     assert build_parser().parse_args(["eisenstein", "--level", "11", "--n-max", "0"]).n_max == 0
     assert build_parser().parse_args(["mockform", "--label", "11a1", "--n-max", "0"]).n_max == 0
-    args = build_parser().parse_args(["poincare", "--level", "11", "--index", "1", "--n-max", "1",
-                                      "--weight", "2"])
-    assert (args.index, args.n_max, args.weight) == (1, 1, 2)
-    assert build_parser().parse_args(["poincare", "--level", "11", "--weight", "4"]).weight == 4
+    assert build_parser().parse_args(["poincare", "--level", "11", "--n-max", "1"]).n_max == 1

@@ -7,9 +7,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from shiftedconv import poincare
-from shiftedconv.poincare import (_PASS_ULPS, _bessel_array, _bessel_i, _bessel_j, _bessel_pass,
-                                  _bessel_series, _units, bp_coefficient, bq_coefficient,
-                                  kloosterman_row)
+from shiftedconv.poincare import (_PASS_ULPS, _bessel_array, _bessel_pass, _bessel_series, _units,
+                                  bp_coefficient, bq_coefficient, kloosterman_row)
 
 from kloosterman_oracle import (bp_per_n, bq_per_n, kloosterman, kloosterman_float,
                                 units_listing)
@@ -56,7 +55,7 @@ def test_weil_magnitude_sanity():
 
 
 def test_float_path_matches_mp_path():
-    for (m, n, c) in [(1, 1, 11), (1, 3, 22), (-1, 2, 27), (2, 5, 36)]:
+    for (m, n, c) in [(1, 1, 11), (1, 3, 22), (-1, 2, 27), (-1, -5, 36)]:
         with mp.workdps(25):
             precise = kloosterman(m, n, c)
         got = kloosterman_row(m, np.array([n]), c)[0]
@@ -71,9 +70,9 @@ def test_units_match_gcd_listing():
         assert np.array_equal(ds, want_ds) and np.array_equal(dbars, want_dbars), c
 
 
-# m = 2, 6 and -4 share factors with many moduli; n = 0 gives Ramanujan sums
-_MS = (1, -1, 2, 6, -4)
-_NS = np.array([0, 1, 5, 12], dtype=np.int64)
+# n = 0 gives Ramanujan sums; a negative n is read as K(-1, n; c) = K(1, -n; c)
+_MS = (1, -1)
+_NS = np.array([0, 1, 5, 12, -1, -6], dtype=np.int64)
 
 
 def test_factored_kloosterman_matches_mp_path():
@@ -88,13 +87,14 @@ def test_factored_kloosterman_matches_mp_path():
 
 def test_factored_kloosterman_matches_listing():
     # n up to 10^6 checks that the int64 products t n stay in range
-    ns = np.array([*_NS, 999_983, 10 ** 6], dtype=np.int64)
+    ns = np.array([*_NS, 999_983, 10 ** 6, -10 ** 6], dtype=np.int64)
     for c in range(1, 2001):
         tables = {}
-        for m in (1, -1, 6):
+        for m in _MS:
             got = kloosterman_row(m, ns, c, tables)
             want = [kloosterman_float(m, n, c) for n in ns.tolist()]
             assert np.max(np.abs(got - want)) < 1e-12, (m, c)
+        assert np.array_equal(kloosterman_row(-1, ns, c, tables), kloosterman_row(1, -ns, c, tables)), c
 
 
 @pytest.mark.parametrize("N", [11, 49])
@@ -104,32 +104,32 @@ def test_one_pass_matches_per_n_oracle(N):
         return all(abs(g.value - w.value) < 1e-12 and abs(g.tail_estimate - w.tail_estimate) < 1e-12
                    for g, w in zip(got, want, strict=True))
     ns = range(1, 11)
-    assert close(bp_coefficient(1, 2, N, ns, 2000), [bp_per_n(1, 2, N, n, 2000) for n in ns])
+    assert close(bp_coefficient(N, ns, 2000), [bp_per_n(N, n, 2000) for n in ns])
     ns = range(0, 6)
-    assert close(bq_coefficient(1, 2, N, ns, 2000), [bq_per_n(1, 2, N, n, 2000) for n in ns])
+    assert close(bq_coefficient(N, ns, 2000), [bq_per_n(N, n, 2000) for n in ns])
 
 
 # I_1(4 pi sqrt(n)/c) at level 11 that round differently at dps 15 and dps 64, as (n, c)
 _FRAGILE_I = [(2, 2266), (3, 3432), (5, 649), (8, 4532)]
 
 
-def _correctly_rounded(f, order, x):
+def _correctly_rounded(f, x):
     with mp.workprec(300):
-        return float(f(order, x))
+        return float(f(1, x))
 
 
 def test_bessel_and_rows_independent_of_ambient_precision():
     def run():
-        bessel = [_bessel_i(1, 4 * np.pi * np.sqrt(n) / c) for n, c in _FRAGILE_I]
-        return (bessel, bp_coefficient(1, 2, 11, range(1, 11), 2000),
-                bq_coefficient(1, 2, 11, [n for n, _ in _FRAGILE_I], 4600))
+        bessel = [_bessel_series(4 * np.pi * np.sqrt(n) / c, 1) for n, c in _FRAGILE_I]
+        return (bessel, bp_coefficient(11, range(1, 11), 2000),
+                bq_coefficient(11, [n for n, _ in _FRAGILE_I], 4600))
     with mp.workdps(15):
         low = run()
     with mp.workdps(64):
         high = run()
     assert low == high
     x = 4 * np.pi * np.sqrt(5) / 649
-    assert low[0][2] == _correctly_rounded(mp.besseli, 1, x)
+    assert low[0][2] == _correctly_rounded(mp.besseli, x)
 
 
 # arguments 4 pi sqrt(n)/c of the level-N c-sums at which mpmath's 53-bit I_1 is 1 ulp off
@@ -151,21 +151,19 @@ def _workload_arguments(k):
 
 def test_bessel_series_correctly_rounded():
     for x in [*_OFF_BY_ONE_I, *_workload_arguments(300)]:
-        assert _bessel_j(1, x) == _correctly_rounded(mp.besselj, 1, x), x
-        assert _bessel_i(1, x) == _correctly_rounded(mp.besseli, 1, x), x
+        assert _bessel_series(x, -1) == _correctly_rounded(mp.besselj, x), x
+        assert _bessel_series(x, 1) == _correctly_rounded(mp.besseli, x), x
     with mp.workprec(53):
-        assert all(_bessel_i(1, x) != float(mp.besseli(1, x)) for x in _OFF_BY_ONE_I)
-    # higher orders and large arguments: index 40, n <= 40 at c = 11, and x up to 1300
-    # (I overflows to inf past about 713)
+        assert all(_bessel_series(x, 1) != float(mp.besseli(1, x)) for x in _OFF_BY_ONE_I)
+    # large arguments: 4 pi sqrt(40 n)/11 for n <= 40, and x up to 1300 (I_1 overflows
+    # to inf past about 713)
     large = [4 * np.pi * np.sqrt(40 * n) / 11 for n in range(1, 41, 3)]
     large += list(np.linspace(50, 1300, 12))
-    for order in (1, 3, 5):
-        for x in large:
-            assert _bessel_j(order, x) == _correctly_rounded(mp.besselj, order, x), (order, x)
-            assert _bessel_i(order, x) == _correctly_rounded(mp.besseli, order, x), (order, x)
-    assert _bessel_i(1, 1300.0) == float("inf")
-    assert _bessel_j(0, 0.0) == _bessel_i(0, 0.0) == 1.0
-    assert _bessel_j(1, 0.0) == _bessel_i(3, 0.0) == 0.0
+    for x in large:
+        assert _bessel_series(x, -1) == _correctly_rounded(mp.besselj, x), x
+        assert _bessel_series(x, 1) == _correctly_rounded(mp.besseli, x), x
+    assert _bessel_series(1300.0, 1) == float("inf")
+    assert _bessel_series(0.0, -1) == _bessel_series(0.0, 1) == 0.0
 
 
 def _ulps(got, want):
@@ -174,14 +172,13 @@ def _ulps(got, want):
 
 def test_bessel_pass_within_its_bound():
     xs = np.array([*_workload_arguments(20_000), *_OFF_BY_ONE_I])
-    for f, sign in ((_bessel_j, -1), (_bessel_i, 1)):
-        for order in (0, 1, 3):
-            want = np.array([f(order, x) for x in xs.tolist()])
-            values, bounds = _bessel_pass(order, xs, sign)
-            assert np.all(np.isfinite(bounds))  # every workload argument is below 4
-            # want is the true value to half an ulp
-            assert np.all(np.abs(values - want) <= bounds + np.spacing(np.abs(want)) / 2), (sign, order)
-            assert np.max(_ulps(_bessel_array(order, xs, sign), want)) <= _PASS_ULPS + 0.5
+    for sign in (-1, 1):
+        want = np.array([_bessel_series(x, sign) for x in xs.tolist()])
+        values, bounds = _bessel_pass(xs, sign)
+        assert np.all(np.isfinite(bounds))  # every workload argument is below 4
+        # want is the true value to half an ulp
+        assert np.all(np.abs(values - want) <= bounds + np.spacing(np.abs(want)) / 2), sign
+        assert np.max(_ulps(_bessel_array(xs, sign), want)) <= _PASS_ULPS + 0.5
 
 
 def test_bessel_array_above_threshold_is_the_scalar_series():
@@ -190,13 +187,12 @@ def test_bessel_array_above_threshold_is_the_scalar_series():
     xs = np.array([*(4 * np.pi * np.sqrt(40 * n) / 11 for n in range(1, 41, 3)),
                    *np.linspace(50, 1300, 12), *np.linspace(2, 4, 41)])
     for sign in (-1, 1):
-        for order in (1, 3, 5):
-            values, bounds = _bessel_pass(order, xs, sign)
-            slow = ~(bounds <= _PASS_ULPS * np.spacing(np.abs(values)))
-            assert slow[xs > 4].all() and slow[xs <= 4].any(), (sign, order)
-            got = _bessel_array(order, xs, sign)[slow]
-            want = [_bessel_series(order, x, sign) for x in xs[slow].tolist()]
-            assert got.tolist() == want, (sign, order)
+        values, bounds = _bessel_pass(xs, sign)
+        slow = ~(bounds <= _PASS_ULPS * np.spacing(np.abs(values)))
+        assert slow[xs > 4].all() and slow[xs <= 4].any(), sign
+        got = _bessel_array(xs, sign)[slow]
+        want = [_bessel_series(x, sign) for x in xs[slow].tolist()]
+        assert got.tolist() == want, sign
 
 
 _LEVELS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
@@ -204,12 +200,12 @@ _LEVELS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
 
 def test_coefficients_match_per_element_bessel(monkeypatch):
     def run():
-        return [(bp_coefficient(1, 2, N, range(1, 11), 6000),
-                 bq_coefficient(1, 2, N, range(0, 11), 6000)) for N in _LEVELS]
+        return [(bp_coefficient(N, range(1, 11), 6000),
+                 bq_coefficient(N, range(0, 11), 6000)) for N in _LEVELS]
     fast = run()
     # the same c-sums with one correctly rounded scalar series per (c, n)
-    monkeypatch.setattr(poincare, "_bessel_array", lambda order, x, sign: np.array(
-        [_bessel_series(order, v, sign) for v in x.ravel().tolist()]).reshape(x.shape))
+    monkeypatch.setattr(poincare, "_bessel_array", lambda x, sign: np.array(
+        [_bessel_series(v, sign) for v in x.ravel().tolist()]).reshape(x.shape))
     slow = run()
     for N, got, want in zip(_LEVELS, fast, slow):
         for g, w in zip([*got[0], *got[1]], [*want[0], *want[1]], strict=True):
@@ -217,21 +213,19 @@ def test_coefficients_match_per_element_bessel(monkeypatch):
 
 
 def test_bp_empty_sum_is_delta():
-    r = bp_coefficient(3, 2, 11, [3], 0)[0]
+    r = bp_coefficient(11, [1], 0)[0]
     assert r.value == 1.0
-    r2 = bp_coefficient(1, 2, 11, [4], 0)[0]
-    assert r2.value == (4 / 1) ** 0.5 * 0.0
-    r3 = bp_coefficient(2, 4, 11, [2], 0)[0]
-    assert r3.value == 1.0
+    r2 = bp_coefficient(11, [4], 0)[0]
+    assert r2.value == 0.0
 
 
 def test_bq_empty_sum_vanishes():
-    assert bq_coefficient(1, 2, 11, [3], 0)[0].value == 0.0
+    assert bq_coefficient(11, [3], 0)[0].value == 0.0
 
 
 def test_bq_constant_term_stable_under_cmax_doubling():
-    a = bq_coefficient(1, 2, 11, [0], 4000)[0].value
-    b = bq_coefficient(1, 2, 11, [0], 8000)[0].value
+    a = bq_coefficient(11, [0], 4000)[0].value
+    b = bq_coefficient(11, [0], 8000)[0].value
     assert abs(a - b) < 1e-4
     # frozen from the doubling oracle at c_max 1e4/2e4: -0.19999...
     assert abs(a + 0.2) < 1e-3
@@ -242,12 +236,12 @@ def test_bq_matches_mock_form_coefficients():
     from shiftedconv.mockform import zhat_plus
     with mp.workdps(64):
         z = zhat_plus(get_curve("11a1"), 4, 64)
-        for n, bq in enumerate(bq_coefficient(1, 2, 11, (1, 2, 3), 10_000), start=1):
+        for n, bq in enumerate(bq_coefficient(11, (1, 2, 3), 10_000), start=1):
             assert abs(bq.value - float(z[n])) < 1e-2, n
 
 
 def test_bp_tail_estimate_reported():
-    r = bp_coefficient(1, 2, 11, [2], 2000)[0]
+    r = bp_coefficient(11, [2], 2000)[0]
     assert r.tail_estimate > 0
     assert r.tail_estimate < 1e-2
 
@@ -261,20 +255,24 @@ def test_petersson_reconstruction_small():
     lat = build_lattice(model, 40)
     volpi = float(lat.volume / mp.pi)
     a = an_array(model, 5)
-    for n, bp in enumerate(bp_coefficient(1, 2, 11, range(1, 6), 4000), start=1):
+    for n, bp in enumerate(bp_coefficient(11, range(1, 6), 4000), start=1):
         got = volpi * bp.value
         assert abs(got - a[n]) < 2e-2, n
 
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        bp_coefficient(1, 3, 11, [1], 10)
+        bq_coefficient(11, [0, -1], 10)
     with pytest.raises(ValueError):
-        bq_coefficient(1, 2, 11, [0, -1], 10)
+        bp_coefficient(11, [1, 0], 10)
+    # only the ten levels: the Kloosterman tables grow like c_max^2 / N^2
+    for N in (0, 1, 12):
+        with pytest.raises(ValueError):
+            bp_coefficient(N, [1], 10)
+        with pytest.raises(ValueError):
+            bq_coefficient(N, [0], 10)
     with pytest.raises(ValueError):
-        bp_coefficient(1, 2, 11, [1, 0], 10)
-    with pytest.raises(ValueError):
-        bp_coefficient(1, 2, 0, [1], 10)
+        kloosterman_row(2, _NS, 11)
     with pytest.raises(ValueError):
         kloosterman(1, 1, 0)
     with pytest.raises(ValueError):
