@@ -235,7 +235,8 @@ def build_parser():
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
     s.add_argument("--n-max", type=_integer(1), default=10)
     s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
-    s.add_argument("--maass", action="store_true", help="b_Q(-1, 2, N; n) of the Maass-Poincare series instead of b_P(1, 2, N; n)")
+    s.add_argument("--maass", action="store_true",
+                   help="b_Q(-1, 2, N; n) of the Maass-Poincare series instead of b_P(1, 2, N; n)")
     s.set_defaults(fn=cmd_poincare)
 
     s = _options(sub.add_parser("lseries", help="shifted convolution L-values"), digits=True,
