@@ -182,6 +182,8 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["eisenstein", "--level", "11", "--n-max", "-1"], ">= 0"),
     (["lattice", "--label", "11a1", "--digits", "10"], ">= 30"),
     (["verify", "--digits", "29"], ">= 30"),
+    (["lseries", "--label", "11a1", "--h-max", "-1"], ">= 1"),
+    (["poincare", "--level", "11", "--n-max", "2.5"], ">= 1"),
     (["poincare", "--level", "11", "--n-max", "0"], ">= 1"),
     (["poincare", "--level", "11", "--n-max", "-3", "--maass"], ">= 1"),
 ])
