@@ -13,7 +13,7 @@ from .config import PrecisionConfig
 from .curves import LABELS, SUPPORTED_CONDUCTORS, load_registry, get_curve
 from .eisenstein import indicator_basis
 from .lattice import build_lattice
-from .mockform import ETA_DERIVATIVE_TABLE, eta_derivative_deviation, zhat_plus
+from .mockform import ETA_DERIVATIVE_TABLE, eta_derivative_deviation, s_value, zhat_plus
 from .newform import an_coefficients
 from .poincare import bp_coefficient, bq_coefficient
 from .shifted import d_direct_table, l_series_closed_form
@@ -35,8 +35,10 @@ def _integer(lo, hi=None):
 
 
 def _nstr(x, digits):
-    """`digits` significant digits; an exact zero and an mp zero both print as 0.0."""
-    return mpmath.nstr(mpmath.mpmathify(x), digits, strip_zeros=False)
+    """`digits` significant digits of an mp or exact value, the latter converted at `digits`;
+    an exact zero and an mp zero both print as 0.0."""
+    with mpmath.workdps(digits):
+        return mpmath.nstr(mpmath.mpmathify(x), digits, strip_zeros=False)
 
 
 def _options(sub, *, digits=False, csv_rows=False, label=False):
@@ -81,13 +83,14 @@ def cmd_coeffs(args):
 
 
 def cmd_lattice(args):
-    lat = build_lattice(get_curve(args.label), args.digits)
+    model = get_curve(args.label)
+    lat = build_lattice(model, args.digits)
     d = args.digits
     fields = {
         "omega1": _nstr(lat.omega1, d), "omega2": _nstr(lat.omega2, d),
         "tau": _nstr(lat.tau, d), "volume": _nstr(lat.volume, d),
         "eta1": _nstr(lat.eta1, d), "eta2": _nstr(lat.eta2, d),
-        "S": _nstr(lat.s_lambda, d),
+        "S": _nstr(s_value(model, d), d),
     }
     if args.format == "json":
         print(json.dumps(fields, indent=2))
@@ -122,10 +125,8 @@ def cmd_eisenstein(args):
                for cusp, series in ind.items()}
         print(json.dumps(out, indent=1))
     else:
-        tol = mpmath.mpf(10) ** (10 - args.digits)  # exact zeros and their roundoff
         for cusp, series in ind.items():
-            terms = [f"({_nstr(series[e], args.digits)})q^{e}" for e in range(args.n_max + 1)
-                     if abs(series[e]) > tol]
+            terms = [f"({_nstr(c, args.digits)})q^{e}" for e, c in sorted(series.coeffs.items())]
             print(f"F^({cusp}): " + " + ".join(terms[:12]))
     return 0
 

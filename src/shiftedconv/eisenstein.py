@@ -7,40 +7,36 @@ Construction.  For a row vector v = (c1, c2) in (Z/N)^2, v != 0, let
 summed in Eisenstein order (inner n, outer m).  Its completion by -pi/(N^2 y) slashes
 equivariantly: G2^v |_2 sigma = G2^{v sigma} for every sigma in SL2(Z), and G2^{-v} =
 G2^v.  Gamma0(N) reduces mod N to the upper-triangular matrices (u, b; 0, 1/u), so it
-permutes the vectors, and the sum of G2^v over a Gamma0(N)-orbit is invariant by
-construction.  Each cusp a/c gets the orbit of its primitive vector (-c, a), taken up
-to sign (Diamond-Shurman, A First Course in Modular Forms, ch. 4).  The value of G2^v
-at the cusp sigma(infinity) is the constant term of G2^{v sigma}:
-pi^2 / (N sin(pi w2 / N))^2 when w1 = 0 mod N (else 0), with the w2 = 0 case giving
-pi^2/3.  The indicators are the columns of the inverse of this square (cusps x cusps)
-value matrix, and a Richardson-extrapolated numerical limit up each cusp re-verifies
-them.
+permutes the vectors, and the sum of G2^v over a Gamma0(N)-orbit is invariant.  Each
+cusp a/c gets the orbit of its primitive vector (-c, a), taken up to sign
+(Diamond-Shurman, A First Course in Modular Forms, ch. 4).  The value of G2^v at the
+cusp sigma(infinity) is the constant term of G2^{v sigma}: kappa(w2) when w1 = 0 mod N
+(else 0), with kappa(s) = pi^2 / (N sin(pi s / N))^2 and kappa(0) = pi^2/3.  The
+indicators are the columns of the inverse of this square (cusps x cusps) value matrix.
 
 q-expansion.  By the Lipschitz formula,
 
     G2^v = [c1 = 0] kappa(c2)
-           - (4 pi^2/N^2) sum_{m>0, m = +-c1 (N)} sum_{r>=1} r zeta_N^{+-r c2} q^{rm/N},
+           - (4 pi^2/N^2) sum_{m>0, m = +-c1 (N)} sum_{r>=1} r zeta_N^{+-r c2} q^{rm/N}.
 
-so an orbit sum is expanded over Z[zeta_N] in exact integers.  Its signed vectors
-(+-c1, +-c2) are counted in an N x N histogram H (row m0 = +-c1, column s = +-c2),
-and every m = m0 (N), m > 0, and r >= 1 add r H[m0, s] to A[rm][rs mod N], so the
-coefficient of q^{k/N} is -(4 pi^2/N^2) sum_t A[k][t] zeta_N^t.  An orbit sum is
-Gamma0(N)-invariant, so every A[k] with N not dividing k must vanish at zeta_N, that
-is, reduce to 0 modulo the cyclotomic polynomial Phi_N; this is checked exactly and a
-survivor raises.  Each A[nN] becomes an mp number once, and an indicator is the
-combination of its orbits' series.  The slash by sigma permutes the cells of H, so the
-cusp values and the numerical cusp limits read the same histograms: a kappa sum over
-row 0 and one q-series per row.
+An orbit's signed vectors (+-c1, +-c2) are counted in an N x N histogram H (row
+m0 = +-c1, column s = +-c2), and every m = m0 (N), m > 0, and r >= 1 add r H[m0, s]
+to A[rm][rs mod N], so the coefficient of q^{k/N} is -(4 pi^2/N^2) sum_t A[k][t]
+zeta_N^t.  The orbit sum is Gamma0(N)-invariant, so an A[k] with N not dividing k
+that does not vanish at zeta_N raises.  The slash by sigma permutes the cells of H,
+so the cusp values read the same histograms.
+
+Exactness.  kappa(s) is pi^2/(3 N^4) times an element of Z[zeta_N] (`_kappa_rows`), so
+orbit sums and cusp values are pi^2/(6 N^4) times integer rows over Z[zeta_N], pi^2
+cancels, and the indicators are exact over Q(zeta_N) (`_inverse`, `_reduce`).  The
+basis is cached per level; mp numbers appear only where `indicator_basis` converts a
+nonzero coefficient at the caller's `digits`, and in `cusp_constant_numeric`.
 
 The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} cannot separate
-same-denominator cusps at the non-squarefree levels, which is why the indicator
-construction works with the vector family instead.  Infinity is the only cusp of
-denominator N, though, so its indicator F^inf_N does lie in that span, and
+same-denominator cusps at the non-squarefree levels, hence the vector family.
+Infinity is the only cusp of denominator N, though, so F^inf_N lies in that span, and
 `infinity_indicator` returns it exactly from E2(dz); the closed form uses nothing
 else of this module, and the basis's infinity column is its independent oracle.
-
-The basis takes the working precision `digits` explicitly and is cached per
-(level, digits); guard digits appear only inside `mp.workdps`.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, log, prod
+from math import ceil, gcd, log, log2, prod
 
 import numpy as np
 from mpmath import mp, mpf
@@ -76,28 +72,20 @@ class Cusp:
 
 def cusp_count(N: int) -> int:
     """sum over d | N of phi(gcd(d, N/d))."""
-    total = 0
-    for d in range(1, N + 1):
-        if N % d == 0:
-            g = gcd(d, N // d)
-            total += sum(1 for a in range(1, g + 1) if gcd(a, g) == 1)
-    return total
+    gs = [gcd(d, N // d) for d in range(1, N + 1) if N % d == 0]
+    return sum(1 for g in gs for a in range(1, g + 1) if gcd(a, g) == 1)
 
 
 def enumerate_cusps(N: int) -> tuple:
     """Inequivalent cusp representatives of Gamma0(N), infinity first."""
     cusps = [Cusp(1, 0, 1)]
-    for c in range(1, N):
-        if N % c:
-            continue
+    for c in (c for c in range(1, N) if N % c == 0):
         g = gcd(c, N // c)
         width = N // gcd(c * c, N)
         for a0 in range(g):
-            if gcd(a0, g) != 1 and g > 1:
+            if gcd(a0, g) != 1:         # a0 = 0 only when g = 1
                 continue
-            if g == 1 and a0 != 0:
-                continue
-            a = a0 if a0 else g
+            a = a0 or g
             while gcd(a, c) != 1:
                 a += g
             cusps.append(Cusp(a % c if c > 1 else 0, c, width))
@@ -112,9 +100,6 @@ def _scaling_matrix(cusp: Cusp):
     a, c = cusp.a, cusp.c
     x = pow(a, -1, c)       # a x = 1 (c), so det [[a, (a x - 1)/c], [c, x]] = 1
     return (a, (a * x - 1) // c, c, x)
-
-
-# -- vector Eisenstein family ----------------------------------------------
 
 
 def _canon(v, N):
@@ -132,23 +117,6 @@ def cusp_orbit(cusp: Cusp, N: int) -> list:
     units = [(u, a * pow(u, -1, N)) for u in range(1, N) if gcd(u, N) == 1]
     return sorted({_canon((-c * u, au - c * b), N) for u, au in units for b in range(period)})
 
-
-@memo
-def _zeta_table(N: int, prec: int):
-    """[e^{2 pi i k / N} for k in 0..N-1] at `prec` bits."""
-    with mp.workprec(prec):
-        return [mp.expjpi(mpf(2 * k) / N) for k in range(N)]
-
-
-def _kappa(c2: int, N: int):
-    """Constant term of G2^{(0, c2)}: the n-only lattice sum, pi^2 / (N sin(pi c2 / N))^2."""
-    c2 %= N
-    if c2 == 0:
-        return mp.pi ** 2 / 3
-    return (mp.pi / (N * _zeta_table(2 * N, mp.prec)[c2].imag)) ** 2
-
-
-# -- exact expansion over Z[zeta_N] -----------------------------------------
 
 BLOCK = 128     # rows per numpy step, so that no temporary grows with n_max
 
@@ -169,9 +137,19 @@ def _slash(rows: np.ndarray, sigma, N: int) -> np.ndarray:
     return out
 
 
-def _kappa_sum(row0: np.ndarray, N: int):
-    """Sum of kappa(w2) over the vectors (0, w2) that row 0 of a histogram counts (each twice, as +-)."""
-    return mp.fsum(h * _kappa(s, N) for s, h in enumerate(row0.tolist()) if h) / 2
+def _kappa_rows(N: int) -> np.ndarray:
+    """Row s: 3 N^4 kappa(s)/pi^2 over Z[zeta_N], kappa(s) the constant term of G2^{(0, s)}.
+
+    kappa(0) = pi^2/3 gives N^4.  For s != 0, kappa(s) = 4 pi^2/(N^2 (1 - zeta^s)(1 - zeta^-s)) and
+    N/(1 - zeta^s) = -sum_k k zeta^(sk), so the row is 12 (sum_k k zeta^(sk)) (sum_k k zeta^(-sk)).
+    """
+    k, out = np.arange(N), np.zeros((N, N), dtype=np.int64)
+    out[0, 0] = N ** 4
+    for s in range(1, N):
+        u = np.bincount(s * k % N, k, N).astype(np.int64)
+        c = np.convolve(u, np.roll(u[::-1], 1))           # u(x) u(1/x), folded mod x^N - 1
+        out[s] = 12 * (c[:N] + np.append(c[N:], 0))
+    return out
 
 
 def _expansion_rows(rows: np.ndarray, N: int, n_max: int):
@@ -219,105 +197,112 @@ def _expansion_rows(rows: np.ndarray, N: int, n_max: int):
     return g, A
 
 
-def _psi(N: int) -> list:
-    """Coefficients of Psi_N = (x^N - 1)/Phi_N, constant term first, padded to length N.
+@memo
+def _reduction(N: int) -> np.ndarray:
+    """(N, phi(N)) integers whose row t is x^t modulo the cyclotomic polynomial Phi_N.
 
-    Phi_N = prod over d | N of (x^d - 1)^mu(N/d), so Psi_N is the product of x^(N/e) - 1
-    over the squarefree e | N with an odd number of prime factors, divided exactly by
-    that over the e > 1 with an even number.
+    Phi_N is the product of (x^(N/e) - 1)^mu(e) over the squarefree e | N, taken in power
+    series past x^N: times x^d - 1 from the top down, or divided by it from the bottom up.
     """
     primes = [p for p, _ in _factors(N)]
-    poly, divisors = [1], []
-    for size in range(1, len(primes) + 1):
+    phi = [1] + [0] * N
+    for size in range(len(primes) + 1):
         for ps in combinations(primes, size):
             d = N // prod(ps)
-            if size % 2:
-                poly = [x - y for x, y in zip([0] * d + poly, poly + [0] * d)]
-            else:
-                divisors.append(d)
-    for d in divisors:
-        # poly = q (x^d - 1), so q[j - d] = poly[j] + q[j] from the top down
-        q = [0] * (len(poly) - d)
-        for j in range(len(poly) - 1, d - 1, -1):
-            q[j - d] = poly[j] + (q[j] if j < len(q) else 0)
-        poly = q
-    return poly + [0] * (N - len(poly))
+            for j in range(N, -1, -1) if size % 2 == 0 else range(N + 1):
+                phi[j] = (phi[j - d] if j >= d else 0) - phi[j]
+    k = max(j for j, c in enumerate(phi) if c)      # phi(N), as Phi_N is monic
+    rows, x = [], [1] + [0] * (k - 1)
+    for _ in range(N):
+        rows.append(x)
+        x = [0] + x                                 # times x, then x^k = x^k - Phi_N
+        x = [c - x[k] * p for c, p in zip(x[:k], phi)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _reduce(rows: np.ndarray, N: int) -> np.ndarray:
+    """Integer rows a over Z[zeta_N] (shape (..., N)) in the basis zeta_N^u, u < phi(N).
+
+    a(x) modulo Phi_N is the unique representative of a(zeta_N) of degree below phi(N), so
+    it is zero exactly when a(zeta_N) is; in int64 while no entry can reach 2^63.
+    """
+    M = _reduction(N)
+    width = int(np.abs(M).sum(axis=0).max())        # |(a M)[u]| <= width max|a|
+    big = rows.dtype == object or int(np.abs(rows).max(initial=0)) * width >= 2 ** 63
+    return rows.astype(object if big else np.int64) @ M
 
 
 def _vanishes_at_zeta(rows: np.ndarray, N: int) -> np.ndarray:
-    """Per integer row a of `rows` (shape (..., N)): whether sum_t a[t] zeta_N^t = 0.
-
-    That holds exactly when a(x) = sum_t a[t] x^t reduces to 0 modulo the cyclotomic
-    polynomial Phi_N, that is, when a(x) Psi_N(x) = 0 modulo x^N - 1: a cyclic
-    convolution with the few nonzero coefficients of Psi_N, in int64 (whose
-    wraparound is a ring map, so a vanishing row always passes).
-    """
-    psi = [(j, c) for j, c in enumerate(_psi(N)) if c]
+    """Per integer row a of `rows` (shape (..., N)): whether sum_t a[t] zeta_N^t = 0."""
     flat = rows.reshape(-1, N)
     out = np.empty(len(flat), dtype=bool)
     for lo in range(0, len(flat), BLOCK):
-        block = flat[lo:lo + BLOCK].astype(np.int64)
-        out[lo:lo + BLOCK] = ~sum(c * np.roll(block, j, axis=1) for j, c in psi).any(axis=1)
+        out[lo:lo + BLOCK] = ~_reduce(flat[lo:lo + BLOCK], N).any(axis=1)
     return out.reshape(rows.shape[:-1])
 
 
-def _row_series(combo: dict, slashed: dict, N: int, q, tol):
-    """-(4 pi^2/N^2) sum_i coeff_i sum_{m, r >= 1} r (sum_s slashed[i][m mod N, s] zeta_N^{rs}) q^{rm}.
+def _det(m: list, N: int) -> np.ndarray:
+    """Determinant over Z[x]/(x^N - 1) by Laplace expansion, in Python integers."""
+    if len(m) < 2:
+        return m[0][0].astype(object) if m else np.array([1] + [0] * (N - 1), dtype=object)
+    total = np.zeros(N, dtype=object)
+    for j, a in enumerate(m[0]):
+        c = np.convolve(a.astype(object), _det([row[:j] + row[j + 1:] for row in m[1:]], N))
+        total += (-1) ** j * (c[:N] + np.append(c[N:], 0))
+    return total
 
-    Row m0 runs over m = m0, m0 + N, ... (from N for m0 = 0) until q^m m 4 < tol (1 - q^N),
-    and r runs while q^{rm} r 4 > tol.
+
+def _inverse(values: np.ndarray, N: int) -> list:
+    """Column j of the inverse of the (cusps x orbits) matrix `values` over Z[zeta_N], as
+    (scale_j, {i: w_ij}): its entry (i, j) is scale_j w_ij(zeta_N), scale_j rational.
+
+    The matrix splits into blocks, the connected components of its nonzero entries.  A
+    block B has B^-1 = adj(B)/det(B), det(B) must reduce to a rational (else
+    ArithmeticError), and each column of adj(B), reduced, loses its content.
     """
-    zeta = _zeta_table(N, mp.prec)
-    live = set(np.flatnonzero(sum(slashed.values()).any(axis=1)).tolist())
-    stop = tol * (1 - q ** N)
-    total = mp.mpc(0)
-    m, qm = 1, q
-    while live:
-        m0 = m % N
-        if m0 in live and qm * m * 4 < stop:
-            live.discard(m0)
-        elif m0 in live:
-            r, qrm = 1, qm
-            while qrm * r * 4 > tol:
-                w = mp.fsum(coeff * h * zeta[(r * s) % N] for i, coeff in combo.items()
-                            for s, h in enumerate(slashed[i][m0].tolist()) if h)
-                total += r * w * qrm
-                r, qrm = r + 1, qrm * qm
-        m, qm = m + 1, qm * q
-    return -4 * mp.pi ** 2 / N ** 2 * total
+    nonzero = _reduce(values, N).any(axis=2)
+    linked, left, out = nonzero | nonzero.T, set(range(len(values))), [None] * len(values)
+    while left:
+        block = [min(left)]
+        while len(grown := np.flatnonzero(linked[block].any(axis=0)).tolist()) > len(block):
+            block = grown
+        left -= set(block)
+        m = [[values[j, i] for i in block] for j in block]
+        det = _reduce(_det(m, N), N)
+        if det[1:].any():
+            raise ArithmeticError(f"level {N}: irrational determinant on the cusps {block}")
+        for jj, j in enumerate(block):
+            minors = {i: [row[:ii] + row[ii + 1:] for r, row in enumerate(m) if r != jj]
+                      for ii, i in enumerate(block)}
+            adj = {i: (-1) ** (ii + jj) * _reduce(_det(minors[i], N), N) for ii, i in enumerate(block)}
+            g = gcd(*(x for a in adj.values() for x in a.tolist()))
+            out[j] = (Fraction(g, det[0]), {i: np.array((a // g).tolist() + [0] * (N - len(a)))
+                                            for i, a in adj.items() if a.any()})
+    return out
 
 
 class EisensteinBasis:
-    """One vector orbit per cusp and the cusp indicators for one level, at `digits` working digits."""
+    """One vector orbit per cusp and the exact cusp indicators for one level.
 
-    def __init__(self, N: int, digits: int):
+    Orbit sums and cusp values (`values[j, i]`, orbit i at cusp j) are pi^2/(6 N^4)
+    times integer rows over Z[zeta_N]; the indicators combine them over Q(zeta_N).
+    """
+
+    def __init__(self, N: int):
         self.level = N
-        self.digits = digits
         self.cusps = enumerate_cusps(N)
         self.orbits = [cusp_orbit(c, N) for c in self.cusps]
+        self.kappa = _kappa_rows(N)
         rows = [_signed_rows(orbit, N) for orbit in self.orbits]
-        k = len(self.cusps)
-        with mp.workdps(digits + 25):
-            self.values = mp.matrix(k, k)
-            for j, cusp in enumerate(self.cusps):
-                sigma = _scaling_matrix(cusp)
-                for i, h in enumerate(rows):
-                    self.values[j, i] = _kappa_sum(_slash(h, sigma, N)[0], N)
-            inv = mp.inverse(self.values)           # ZeroDivisionError if singular
-            self._indicators = [
-                {i: inv[i, j] for i in range(k) if abs(inv[i, j]) > mpf(10) ** (-digits)}
-                for j in range(k)]
+        self.values = np.array([[_slash(h, _scaling_matrix(cusp), N)[0] @ self.kappa for h in rows]
+                                for cusp in self.cusps])
+        # per cusp (scale, {orbit i: w_i}): the indicator is scale sum_i w_i(zeta_N) orbit_qexp(i)
+        self.combos = _inverse(self.values, N)          # ZeroDivisionError if singular
 
-    def indicator_combos(self):
-        """Per cusp: {orbit index -> coefficient} solving the delta value conditions."""
-        return self._indicators
-
-    def orbit_qexp(self, i: int, n_max: int) -> list:
-        """Coefficients of q^0 .. q^n_max of orbit i's sum, at digits + 15 working digits.
-
-        The expansion is exact over Z[zeta_N] until each coefficient becomes one mp
-        number.  A fractional exponent that survives, as an orbit not closed under
-        Gamma0(N) would leave, raises ArithmeticError.
+    def orbit_qexp(self, i: int, n_max: int) -> np.ndarray:
+        """Orbit i's sum through q^n_max as pi^2/(6 N^4) times int64 rows, row n over
+        Z[zeta_N] at q^n.  A fractional exponent that survives, as an orbit not closed
+        under Gamma0(N) would leave, raises ArithmeticError.
         """
         N = self.level
         rows = _signed_rows(self.orbits[i], N)
@@ -328,70 +313,84 @@ class EisensteinBasis:
             k = g * int(np.flatnonzero(fractional)[0])
             raise ArithmeticError(f"level {N}: non-integer exponent {Fraction(k, N)} survived "
                                   f"in orbit {i}; the orbit sum is not invariant")
-        with mp.workdps(self.digits + 15):
-            zeta = _zeta_table(N, mp.prec)
-            pref = -4 * mp.pi ** 2 / N ** 2
-            return [_kappa_sum(rows[0], N)] + [
-                pref * mp.fsum(h * zeta[t] for t, h in enumerate(row) if h)
-                for row in A[N // g::N // g].tolist()]
-
-    def _combine(self, combo: dict, series: dict, n_max: int) -> FourierSeries:
-        """sum_i coeff_i series[i] as a FourierSeries; imaginary parts at roundoff level are dropped."""
-        with mp.workdps(self.digits + 15):
-            out = [mp.fsum(coeff * series[i][e] for i, coeff in combo.items())
-                   for e in range(n_max + 1)]
-            tol = mpf(10) ** (-(self.digits - 10))
-            scale = max(max(abs(x) for x in out), mpf(1))
-            clean = {e: x.real if abs(x.imag) <= tol * scale else x
-                     for e, x in enumerate(out) if e == 0 or x != 0}
-        return FourierSeries(clean, n_max + 1)
+        out = -24 * N * N * A[::N // g].astype(np.int64)
+        out[0] = rows[0] @ self.kappa
+        return out
 
     def indicator_qexps(self, n_max: int) -> list:
-        """q-expansions of the indicators in cusp order; each orbit is expanded once."""
-        used = sorted(set().union(*self._indicators))
-        series = {i: self.orbit_qexp(i, n_max) for i in used}
-        return [self._combine(combo, series, n_max) for combo in self._indicators]
-
-    def cusp_constant_numeric(self, combo: dict, cusp: Cusp, digits: int):
-        """Richardson-extrapolated limit of the slashed combination up the cusp.
-
-        The combination is read from the histograms of the slashed vectors w = v sigma:
-        a kappa sum over row 0, one q-series per row and the completion -pi/(N^2 y)
-        once per vector.  The completion decays like 1/Y exactly, so one extrapolation
-        step on a geometric ladder leaves only exponentially small error; a third rung
-        guards against ladder misconfiguration.
+        """Per cusp, exactly: (scale, C) with scale sum_u C[n, u] zeta_N^u at q^n, u < phi(N):
+        each orbit's rows convolved with its w_i (in int64 while no entry can reach 2^63,
+        else in Python integers), summed and reduced modulo Phi_N (`_reduce`).
         """
         N = self.level
+        series = {i: self.orbit_qexp(i, n_max) for i in set().union(*(w for _, w in self.combos))}
+        shift = (np.arange(N) - np.arange(N)[:, None]) % N       # shift[s, t] = t - s mod N
+        out = []
+        for scale, w in self.combos:
+            big = sum(int(np.abs(w[i]).sum()) * int(np.abs(series[i]).max()) for i in w) >= 2 ** 63
+            R = sum((series[i].astype(object) if big else series[i]) @ w[i][shift] for i in w)
+            out.append((scale, _reduce(R, N)))
+        return out
+
+    def cusp_constant_numeric(self, combo: tuple, cusp: Cusp, digits: int):
+        """Richardson-extrapolated limit of the completed combination up the cusp.
+
+        Slashed by sigma, each orbit is its cusp value (row 0 of the slashed histogram), a
+        series in q^(1/N) and the completion -pi/(N^2 y) per vector.  On the ladder y0,
+        2 y0, 4 y0, y0 = N (0.3665 digits + 4), the series starts at 4 10^-(digits + 10.9)
+        and is left out, and one extrapolation step removes the completion, which decays
+        like 1/y; the third rung checks the ladder.  Ten guard digits keep the roundoff
+        below the 10^-(digits - 8) by which the two extrapolations must agree.
+        """
+        N = self.level
+        scale, w = combo
         sigma = _scaling_matrix(cusp)
-        slashed = {i: _slash(_signed_rows(self.orbits[i], N), sigma, N) for i in combo}
         with mp.workdps(digits + 10):
-            tol = mpf(10) ** (-(digits + 8))
-            const = mp.fsum(coeff * _kappa_sum(slashed[i][0], N) for i, coeff in combo.items())
-            size = mp.fsum(coeff * len(self.orbits[i]) for i, coeff in combo.items())
+            zeta = [mp.expjpi(mpf(2 * t) / N) for t in range(N)]
+            weight = {i: mp.fdot(w[i].tolist(), zeta) * scale.numerator / scale.denominator for i in w}
+            const = mp.fsum(x * mp.fdot((_slash(_signed_rows(self.orbits[i], N), sigma, N)[0]
+                                         @ self.kappa).tolist(), zeta) for i, x in weight.items())
+            # orbit i's sum is pi^2/(6 N^4) times its rows, with one completion per vector
+            size = 6 * N ** 4 / mp.pi ** 2 * mp.fsum(x * len(self.orbits[i]) for i, x in weight.items())
             y0 = mpf(N) * (digits * 2.303 / 6.283 + 4)
-            vals = []
-            for k in (1, 2, 4):
-                y = y0 * k
-                q = mp.exp(-2 * mp.pi * y / N)
-                vals.append(const + _row_series(combo, slashed, N, q, tol)
-                            - size * mp.pi / (N * N * y))
+            vals = [const - size * mp.pi / (N * N * y0 * k) for k in (1, 2, 4)]
             r1 = 2 * vals[1] - vals[0]
             r2 = 2 * vals[2] - vals[1]
             if abs(r2 - r1) > mpf(10) ** (-(digits - 8)) * (1 + abs(r2)):
-                raise ArithmeticError(
-                    f"cusp-limit extrapolation disagreement at {cusp}: {abs(r2 - r1)}")
+                raise ArithmeticError(f"cusp-limit extrapolation disagreement at {cusp}: {abs(r2 - r1)}")
             return r2
 
 
 @memo
-def basis_for_level(N: int, digits: int) -> EisensteinBasis:
-    return EisensteinBasis(N, digits)
+def basis_for_level(N: int) -> EisensteinBasis:
+    return EisensteinBasis(N)
 
 
 def indicator_basis(N: int, n_max: int, digits: int) -> dict:
-    """Map cusp -> q-expansion of the indicator form F at that cusp."""
-    eb = basis_for_level(N, digits)
-    return dict(zip(eb.cusps, eb.indicator_qexps(n_max)))
+    """Map cusp -> q-expansion of the indicator form F at that cusp, through q^n_max.
+
+    The coefficients are exact and reduced (`EisensteinBasis.indicator_qexps`): a zero
+    stays an exact 0, one equal to its conjugate becomes an mpf, any other an mpc.
+    x = scale sum_u C[u] zeta_N^u is summed exactly from roots rounded to p bits, each
+    within 2^(3 - p) of zeta_N^u, and rounded twice more; with 2^b > |scale| sum_u |C[u]|,
+    p = digits log2(10) + b + 4 bits keep its error below 10^-digits.
+    """
+    eb = basis_for_level(N)
+    exact = eb.indicator_qexps(n_max)
+    b = max(ceil(abs(scale) * int(np.abs(C).sum(axis=1).max())).bit_length() for scale, C in exact)
+    out = {}
+    with mp.workprec(ceil(digits * log2(10)) + b + 4):
+        roots = [mp.expjpi(mpf(2 * u) / N) for u in range(exact[0][1].shape[1])]
+        for cusp, (scale, C) in zip(eb.cusps, exact):
+            conj = _reduce(np.pad(C, ((0, 0), (0, N - C.shape[1])))[:, (-np.arange(N)) % N], N)
+            coeffs = {}
+            for n in np.flatnonzero(C.any(axis=1)).tolist():
+                us = np.flatnonzero(C[n]).tolist()
+                real = (C[n] == conj[n]).all()
+                x = mp.fdot(C[n, us].tolist(), [roots[u].real if real else roots[u] for u in us])
+                coeffs[n] = x * scale.numerator / scale.denominator
+            out[cusp] = FourierSeries(coeffs, n_max + 1)
+    return out
 
 
 def infinity_indicator(N: int, n_max: int) -> FourierSeries:

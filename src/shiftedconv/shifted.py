@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 from .config import memo
 from .curves import EllipticCurveModel
-from .eisenstein import infinity_indicator, basis_for_level
+from .eisenstein import indicator_basis, infinity_indicator
 from .lattice import build_lattice
 from .mockform import mock_parts, s_value
 from .newform import an_array, an_coefficients
@@ -152,12 +152,12 @@ def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
     beta at infinity 1.
     """
     with mp.workdps(digits + 10):
-        eb = basis_for_level(model.conductor, digits)
+        basis = indicator_basis(model.conductor, h_max, digits + 10)
         if target is None:
             target = hol_projection_hat(model, h_max, digits, n_terms_for_d)
-        cols = [an_coefficients(model, h_max).to_mp()] + eb.indicator_qexps(h_max)
+        cols = [an_coefficients(model, h_max).to_mp()] + list(basis.values())
         A = mp.matrix([[col[r] for col in cols] for r in range(h_max + 1)])
         b = mp.matrix([target[r] for r in range(h_max + 1)])
         # normal equations with the conjugate transpose (indicator columns can be complex)
         x = mp.lu_solve(A.H * A, A.H * b)
-        return x[0], {cusp: x[1 + j] for j, cusp in enumerate(eb.cusps)}
+        return x[0], {cusp: x[1 + j] for j, cusp in enumerate(basis)}

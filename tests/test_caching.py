@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from shiftedconv.curves import get_curve
 import shiftedconv.newform
-from shiftedconv.eisenstein import _zeta_table, basis_for_level, indicator_basis
+from shiftedconv.eisenstein import basis_for_level, indicator_basis
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
 from shiftedconv.newform import _an_table, an_array
@@ -49,7 +49,7 @@ def _closed_form_objects():
 def test_results_do_not_depend_on_ambient_precision_or_call_order():
     results = []
     for order in ((15, 100), (100, 15)):
-        for fn in (basis_for_level, _zeta_table, build_lattice, zhat_plus):
+        for fn in (basis_for_level, build_lattice, zhat_plus):
             fn.cache_clear()
         for dps in order:
             with mp.workdps(dps):

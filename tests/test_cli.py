@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from shiftedconv.cli import build_parser, main
-from shiftedconv.eisenstein import _zeta_table, basis_for_level
+from shiftedconv.cli import _nstr, build_parser, main
+from shiftedconv.eisenstein import basis_for_level
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
 
@@ -41,6 +42,19 @@ def test_lattice_json(capsys):
     assert data["S"].strip("()").split(" ")[0].startswith("0.0")
 
 
+@pytest.mark.parametrize("label, s", [("27a1", "0.0"), ("49a1", "0.25" + "0" * 62)], ids=["27a1", "49a1"])
+def test_lattice_json_prints_the_s_of_the_closed_form(capsys, label, s):
+    """At the CM levels S is exactly R[1] (`mockform.s_value`), not the lattice's roundoff."""
+    code, out, _ = run(capsys, ["lattice", "--label", label, "--format", "json"])
+    assert code == 0 and json.loads(out)["S"] == s
+
+
+def test_nstr_converts_exact_values_at_the_requested_digits():
+    assert _nstr(Fraction(1, 5), 64) == "0.2" + "0" * 63
+    assert _nstr(Fraction(-2, 3), 40) == "-0." + "6" * 39 + "7"
+    assert _nstr(0, 64) == _nstr(Fraction(0), 64) == _nstr(mp.mpf(0), 64) == "0.0"
+
+
 def test_mockform_text(capsys):
     code, out, _ = run(capsys, ["mockform", "--label", "27a1", "--n-max", "8", "--digits", "32"])
     assert code == 0
@@ -69,6 +83,16 @@ def test_eisenstein_text(capsys):
     code, out, _ = run(capsys, ["eisenstein", "--level", "11", "--n-max", "6", "--digits", "32"])
     assert code == 0
     assert "F^(oo)" in out and "F^(0/1)" in out
+
+
+def test_eisenstein_json_27_prints_exact_zeros(capsys):
+    """F^inf_27 = -(1/8) E2(9z) + (9/8) E2(27z) has no term off 9Z, and prints 0.0 there."""
+    code, out, _ = run(capsys, ["eisenstein", "--level", "27", "--format", "json"])
+    finf = json.loads(out)["oo"]
+    assert code == 0 and [int(e) for e, _ in finf] == list(range(31))
+    assert all(c == "0.0" for e, c in finf if int(e) % 9)
+    assert [c for e, c in finf if int(e) % 9 == 0] == [
+        "1." + "0" * 63, "3." + "0" * 63, "9." + "0" * 63, "-15." + "0" * 62]
 
 
 def test_poincare_json(capsys):
@@ -116,7 +140,7 @@ def test_output_does_not_depend_on_ambient_precision(capsys):
 def test_every_subcommand_ignores_ambient_precision(argv, capsys):
     outs = []
     for dps in (15, 100):
-        for fn in (build_lattice, zhat_plus, basis_for_level, _zeta_table):
+        for fn in (build_lattice, zhat_plus, basis_for_level):
             fn.cache_clear()  # each run builds its objects at this ambient precision
         with mp.workdps(dps):
             code, out, _ = run(capsys, [*argv, "--format", "json"])

@@ -9,8 +9,9 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from shiftedconv.eisenstein import (basis_for_level, cusp_count, cusp_orbit, enumerate_cusps,
-                                    indicator_basis, infinity_indicator,
-                                    _canon, _scaling_matrix, _vanishes_at_zeta, _zeta_table)
+                                    indicator_basis, infinity_indicator, _canon, _inverse,
+                                    _kappa_rows, _reduce, _reduction, _scaling_matrix,
+                                    _vanishes_at_zeta)
 
 from shiftedconv.series import FourierSeries
 
@@ -24,6 +25,23 @@ EXPECTED_COUNTS = {11: 2, 14: 4, 15: 4, 17: 2, 19: 2, 21: 4, 27: 6, 32: 8, 36: 1
 def _dps():
     with mp.workdps(64):
         yield
+
+
+def _roots(N):
+    return [mp.expjpi(mpf(2 * k) / N) for k in range(N)]
+
+
+def _coords(terms):
+    """Coordinates over the basis zeta_N^u, u < phi(N), of sum scale * C over reduced (scale, C).
+
+    Reduced rows are the unique representatives modulo Phi_N, so two sums are equal
+    exactly when their coordinates are.
+    """
+    return [sum((scale * int(c[u]) for scale, c in terms), Fraction(0)) for u in range(len(terms[0][1]))]
+
+
+def _rational_coords(x, N):
+    return [Fraction(x)] + [Fraction(0)] * (_reduction(N).shape[1] - 1)
 
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
@@ -167,14 +185,46 @@ def test_indicator_f_infinity_27_e2_oracle():
 
 
 def test_indicator_delta_property_numeric():
-    """Every indicator is 1 at its own cusp and 0 at every other, as a numerical cusp limit."""
+    """Every indicator is 1 at its own cusp and 0 at every other, as a numerical cusp limit,
+    to the 10^-(40 - 8) within which the 40-digit limit raises."""
     for N in sorted(EXPECTED_COUNTS):
-        eb = basis_for_level(N, 64)
-        combos = eb.indicator_combos()
+        eb = basis_for_level(N)
         k = len(eb.cusps)
         for i, j in product(range(k), repeat=2):
-            v = eb.cusp_constant_numeric(combos[i], eb.cusps[j], 40)
-            assert abs(v - (1 if i == j else 0)) < mpf("1e-10"), (N, i, j)
+            v = eb.cusp_constant_numeric(eb.combos[i], eb.cusps[j], 40)
+            assert abs(v - (1 if i == j else 0)) <= mpf(10) ** -32, (N, i, j)
+
+
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
+def test_indicators_are_exactly_delta_at_the_cusps(N):
+    """sum_i values[j, i] scale w_i, reduced modulo Phi_N, is exactly 1 at j = j' and 0 elsewhere."""
+    eb = basis_for_level(N)
+    for jp, (scale, w) in enumerate(eb.combos):
+        for j in range(len(eb.cusps)):
+            c = sum(np.convolve(eb.values[j, i].astype(object), w[i].astype(object)) for i in w)
+            value = _reduce(c[:N] + np.append(c[N:], 0), N)
+            assert _coords([(scale, value)]) == _rational_coords(int(j == jp), N), (N, j, jp)
+
+
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS) + [2, 30])
+def test_kappa_rows_match_the_sine_formula(N):
+    """pi^2/(3 N^4) sum_t row_s[t] zeta_N^t = pi^2/(N sin(pi s/N))^2, and pi^2/3 at s = 0."""
+    zeta = _roots(N)
+    for s, row in enumerate(_kappa_rows(N).tolist()):
+        got = mp.pi ** 2 / (3 * N ** 4) * mp.fsum(h * z for h, z in zip(row, zeta))
+        want = mp.pi ** 2 / 3 if s == 0 else (mp.pi / (N * mp.sinpi(mpf(s) / N))) ** 2
+        assert abs(got - want) < mpf("1e-55") * want, (N, s)
+
+
+def test_inverse_rejects_an_irrational_determinant():
+    """A 1 x 1 value block zeta_5 is invertible but not rational, and `_inverse` raises."""
+    values = np.zeros((1, 1, 5), dtype=np.int64)
+    values[0, 0, 1] = 1
+    with pytest.raises(ArithmeticError, match="irrational determinant"):
+        _inverse(values, 5)
+    values[0, 0] = [3, 0, 0, 0, 0]
+    scale, w = _inverse(values, 5)[0]
+    assert scale == Fraction(1, 3) and list(w) == [0] and w[0].tolist() == [1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("N", (11, 27, 36, 49))
@@ -184,13 +234,12 @@ def test_cusp_constant_matches_per_vector_oracle(N):
     The pairs are each indicator at its own cusp and at the next one, and the
     infinity indicator at the last cusp.
     """
-    eb = basis_for_level(N, 64)
-    combos = eb.indicator_combos()
+    eb = basis_for_level(N)
     k = len(eb.cusps)
     pairs = {(i, j) for i in range(k) for j in (i, (i + 1) % k)} | {(0, k - 1)}
     for i, j in sorted(pairs):
-        got = eb.cusp_constant_numeric(combos[i], eb.cusps[j], 40)
-        want = cusp_constant_per_vector(eb, combos[i], eb.cusps[j], 40)
+        got = eb.cusp_constant_numeric(eb.combos[i], eb.cusps[j], 40)
+        want = cusp_constant_per_vector(eb, eb.combos[i], eb.cusps[j], 40)
         assert abs(got - want) < mpf("1e-35"), (N, i, j)
 
 
@@ -204,13 +253,16 @@ def test_indicator_rational_recovery_diagnostic():
 
 
 def test_conjugate_cusp_indicators_are_conjugate():
-    ind = indicator_basis(27, 12, 64)
-    cusps = list(enumerate_cusps(27))
-    third = {str(c): c for c in cusps}
-    f13, f23 = ind[third["1/3"]], ind[third["2/3"]]
-    with mp.workdps(40):
-        for e in range(13):
-            assert abs(f13[e] - mp.conj(f23[e])) < mpf("1e-30")
+    """F^(1/3) and F^(2/3) at level 27 are exact complex conjugates, coefficient by
+    coefficient, and not real."""
+    N = 27
+    eb = basis_for_level(N)
+    exact = dict(zip(map(str, eb.cusps), eb.indicator_qexps(12)))
+    (s13, c13), (s23, c23) = exact["1/3"], exact["2/3"]
+    conj23 = _reduce(np.pad(c23, ((0, 0), (0, N - c23.shape[1])))[:, (-np.arange(N)) % N], N)
+    for e in range(13):
+        assert _coords([(s13, c13[e])]) == _coords([(s23, conj23[e])]), e
+    assert any(x != 0 for e in range(13) for x in _coords([(s13, c13[e])])[1:])
 
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
@@ -219,30 +271,31 @@ def test_indicators_sum_to_e2(N):
 
     One orbit per cusp makes the value matrix square.
     """
-    eb = basis_for_level(N, 64)
-    assert (eb.values.rows, eb.values.cols) == (len(eb.cusps), len(eb.cusps))
+    eb = basis_for_level(N)
+    assert eb.values.shape == (len(eb.cusps), len(eb.cusps), N)
     n_max = 30
-    total = sum((f for f in indicator_basis(N, n_max, 64).values()), FourierSeries.zero(n_max + 1))
+    exact = eb.indicator_qexps(n_max)
     e2 = e2_series(1, n_max)
     for e in range(n_max + 1):
-        assert abs(total[e] - e2[e]) < mpf("1e-50"), (N, e)
+        assert _coords([(scale, C[e]) for scale, C in exact]) == _rational_coords(e2[e], N), (N, e)
 
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
 def test_combo_qexp_matches_per_vector_oracle(N):
-    """`indicator_qexps`, from the exact integer expansion, equals the per-vector mp
-    expansion of each indicator's combination through q^10.
+    """`indicator_basis`, from the exact integer expansion and taken at 80 digits, equals
+    the per-vector mp expansion of each indicator's combination through q^10.
 
-    Both end at digits + 15 = 79 digits and round in different places, so they agree
-    to 1e-75 relative.  At level 49 only the infinity and 1/7 indicators are compared.
+    The oracle works at 64 + 15 = 79 digits and has its own kappa(s) and roots of unity,
+    so the two agree to 1e-75 relative.  At level 49 only the infinity and 1/7
+    indicators are compared.
     """
-    eb = basis_for_level(N, 64)
+    eb = basis_for_level(N)
     n_max = 10
     picked = [(c, combo, f) for c, combo, f in
-              zip(eb.cusps, eb.indicator_combos(), eb.indicator_qexps(n_max))
+              zip(eb.cusps, eb.combos, indicator_basis(N, n_max, 80).values())
               if N != 49 or str(c) in ("oo", "1/7")]
     for cusp, combo, f in picked:
-        want = combo_qexp_per_vector(eb, combo, n_max)
+        want = combo_qexp_per_vector(eb, combo, n_max, 64)
         for e in range(n_max + 1):
             assert abs(f[e] - want[e]) <= mpf("1e-75") * max(abs(want[e]), 1), (N, str(cusp), e)
 
@@ -254,9 +307,9 @@ def test_combo_qexp_rejects_a_broken_orbit():
     The orbits broken are those of the cusps 1/3 at level 27 and 1/7 at level 49.
     """
     for N, cusp in ((27, "1/3"), (49, "1/7")):
-        eb = basis_for_level(N, 64)
+        eb = basis_for_level(N)
         j = [str(c) for c in eb.cusps].index(cusp)
-        assert j in eb.indicator_combos()[j], (N, cusp)
+        assert j in eb.combos[j][1], (N, cusp)
         broken = copy.copy(eb)
         broken.orbits = [list(orbit) for orbit in eb.orbits]
         size = len(eb.orbits[j])
@@ -275,7 +328,9 @@ def test_vanishing_at_zeta_is_reduction_modulo_phi(N):
     """sum_{j<p} zeta_p^j reduces to 0 modulo Phi_N for each prime p | N; zeta_N^j alone does not.
 
     Multiples of sum_j x^(jN/p), hence of Phi_N, vanish too, and on those and on
-    random integer rows the exact test agrees with the numerical value at zeta_N.
+    random integer rows the exact test agrees with the numerical value at zeta_N.  Rows
+    past int64 are tested in Python integers: 2^64 (which int64 would wrap to 0) does
+    not vanish, and 2^70 times a vanishing row does.
     """
     primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
     for p in primes:
@@ -288,16 +343,20 @@ def test_vanishing_at_zeta_is_reduction_modulo_phi(N):
     multiples = sum(np.roll(b, j * (N // p), axis=1) for j in range(p))
     rows = np.concatenate([multiples, b])
     with mp.workdps(30):
-        zeta = _zeta_table(N, mp.prec)
+        zeta = _roots(N)
         numeric = [abs(mp.fsum(h * zeta[t] for t, h in enumerate(row))) < mpf("1e-20")
                    for row in rows.tolist()]
     assert numeric[:20] == [True] * 20
     assert _vanishes_at_zeta(rows, N).tolist() == numeric
+    big = np.zeros((2, N), dtype=object)
+    big[0, 0] = 2 ** 64
+    big[1] = [2 ** 70 * int(x) for x in multiples[0]]
+    assert _vanishes_at_zeta(big, N).tolist() == [False, True]
 
 
 def test_indicator_basis_memory_at_level_49():
     """Every array of the expansion stays O(N (n_max + 1) N); the traced peak is below 1.5 MiB."""
-    for fn in (basis_for_level, _zeta_table):
+    for fn in (basis_for_level, _reduction):
         fn.cache_clear()
     tracemalloc.start()
     try:
@@ -325,8 +384,8 @@ def test_infinity_indicator_is_e2_product(N):
     """F^inf_N = prod over p^e || N of (p^2 E2(p^e z) - E2(p^(e-1) z))/(p^2 - 1).
 
     The product multiplies the dilations, E2(d z) * E2(d' z) -> E2(d d' z).  It
-    equals the oracle's E2 series exactly, and the infinity column of the
-    vector-orbit basis to its roundoff.
+    equals the oracle's E2 series exactly, and so does the infinity indicator of the
+    exact vector-orbit basis.
     """
     weights = {1: Fraction(1)}
     for p, e in _prime_power_factors(N):
@@ -337,8 +396,6 @@ def test_infinity_indicator_is_e2_product(N):
     f = infinity_indicator(N, n_max)
     assert f == want
     assert all(isinstance(c, (int, Fraction)) for c in f.coeffs.values())
-    orbits = indicator_basis(N, n_max, 64)[enumerate_cusps(N)[0]]
-    with mp.workdps(100):
-        for e in range(n_max + 1):
-            w = f[e]
-            assert abs(orbits[e] - mpf(w.numerator) / w.denominator) <= mpf("1e-75"), (N, e)
+    scale, C = basis_for_level(N).indicator_qexps(n_max)[0]
+    for e in range(n_max + 1):
+        assert _coords([(scale, C[e])]) == _rational_coords(f[e], N), (N, e)
