@@ -22,6 +22,8 @@ from .verify import verify_all
 
 C_MAX_LIMIT = 100_000  # the per-call Kloosterman tables grow like c_max^2 (README)
 TERMS_LIMIT = 1_000_000  # point counting raises above p = 1.3e6 (README)
+INDICATOR_LIMIT = 1_000  # the orbit expansions grow linearly in n_max (README)
+MOCK_LIMIT = 200  # the exact mock form takes 0.2 s at n_max 100 and 7 s at 200 (README)
 
 
 def _integer(lo, hi=None):
@@ -223,13 +225,13 @@ def build_parser():
 
     s = _options(sub.add_parser("mockform", help="Weierstrass mock modular form expansion"),
                  digits=True, label=True)
-    s.add_argument("--n-max", type=_integer(0), default=40)
+    s.add_argument("--n-max", type=_integer(0, MOCK_LIMIT), default=40)
     s.add_argument("--check-eta", action="store_true")
     s.set_defaults(fn=cmd_mockform)
 
     s = _options(sub.add_parser("eisenstein", help="cusp indicator basis"), digits=True)
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--n-max", type=_integer(0), default=30)
+    s.add_argument("--n-max", type=_integer(0, INDICATOR_LIMIT), default=30)
     s.set_defaults(fn=cmd_eisenstein)
 
     s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
@@ -243,7 +245,7 @@ def build_parser():
     s = _options(sub.add_parser("lseries", help="shifted convolution L-values"), digits=True,
                  csv_rows=True, label=True)
     s.add_argument("--method", choices=("direct", "closed", "both"), default="both")
-    s.add_argument("--h-max", type=_integer(1), default=30)
+    s.add_argument("--h-max", type=_integer(1, MOCK_LIMIT), default=30)
     s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
     s.set_defaults(fn=cmd_lseries)
 

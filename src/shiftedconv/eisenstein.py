@@ -30,7 +30,7 @@ Exactness.  kappa(s) is pi^2/(3 N^4) times an element of Z[zeta_N] (`_kappa_rows
 orbit sums and cusp values are pi^2/(6 N^4) times integer rows over Z[zeta_N], pi^2
 cancels, and the indicators are exact over Q(zeta_N) (`_inverse`, `_reduce`).  The
 basis is cached per level; mp numbers appear only where `indicator_basis` converts a
-nonzero coefficient at the caller's `digits`, and in `cusp_constant_numeric`.
+nonzero coefficient at the caller's `digits`.
 
 The textbook spanning set {E2(z)} u {E2(z) - d E2(dz)} cannot separate
 same-denominator cusps at the non-squarefree levels, hence the vector family.
@@ -292,9 +292,9 @@ class EisensteinBasis:
         self.level = N
         self.cusps = enumerate_cusps(N)
         self.orbits = [cusp_orbit(c, N) for c in self.cusps]
-        self.kappa = _kappa_rows(N)
+        kappa = _kappa_rows(N)
         rows = [_signed_rows(orbit, N) for orbit in self.orbits]
-        self.values = np.array([[_slash(h, _scaling_matrix(cusp), N)[0] @ self.kappa for h in rows]
+        self.values = np.array([[_slash(h, _scaling_matrix(cusp), N)[0] @ kappa for h in rows]
                                 for cusp in self.cusps])
         # per cusp (scale, {orbit i: w_i}): the indicator is scale sum_i w_i(zeta_N) orbit_qexp(i)
         self.combos = _inverse(self.values, N)          # ZeroDivisionError if singular
@@ -314,7 +314,7 @@ class EisensteinBasis:
             raise ArithmeticError(f"level {N}: non-integer exponent {Fraction(k, N)} survived "
                                   f"in orbit {i}; the orbit sum is not invariant")
         out = -24 * N * N * A[::N // g].astype(np.int64)
-        out[0] = rows[0] @ self.kappa
+        out[0] = self.values[0, i]                      # its value at infinity, sigma = 1
         return out
 
     def indicator_qexps(self, n_max: int) -> list:
@@ -332,33 +332,15 @@ class EisensteinBasis:
             out.append((scale, _reduce(R, N)))
         return out
 
-    def cusp_constant_numeric(self, combo: tuple, cusp: Cusp, digits: int):
-        """Richardson-extrapolated limit of the completed combination up the cusp.
-
-        Slashed by sigma, each orbit is its cusp value (row 0 of the slashed histogram), a
-        series in q^(1/N) and the completion -pi/(N^2 y) per vector.  On the ladder y0,
-        2 y0, 4 y0, y0 = N (0.3665 digits + 4), the series starts at 4 10^-(digits + 10.9)
-        and is left out, and one extrapolation step removes the completion, which decays
-        like 1/y; the third rung checks the ladder.  Ten guard digits keep the roundoff
-        below the 10^-(digits - 8) by which the two extrapolations must agree.
+    def cusp_values(self, combo: tuple) -> list:
+        """The combination (scale, {orbit i: w_i}) at each cusp j, exactly: the coordinates
+        over zeta_N^u, u < phi(N), of scale sum_i w_i(zeta_N) values[j, i], reduced modulo
+        Phi_N (`_reduce`).  An indicator's are 1, 0, ... at its own cusp and 0 at the others.
         """
-        N = self.level
-        scale, w = combo
-        sigma = _scaling_matrix(cusp)
-        with mp.workdps(digits + 10):
-            zeta = [mp.expjpi(mpf(2 * t) / N) for t in range(N)]
-            weight = {i: mp.fdot(w[i].tolist(), zeta) * scale.numerator / scale.denominator for i in w}
-            const = mp.fsum(x * mp.fdot((_slash(_signed_rows(self.orbits[i], N), sigma, N)[0]
-                                         @ self.kappa).tolist(), zeta) for i, x in weight.items())
-            # orbit i's sum is pi^2/(6 N^4) times its rows, with one completion per vector
-            size = 6 * N ** 4 / mp.pi ** 2 * mp.fsum(x * len(self.orbits[i]) for i, x in weight.items())
-            y0 = mpf(N) * (digits * 2.303 / 6.283 + 4)
-            vals = [const - size * mp.pi / (N * N * y0 * k) for k in (1, 2, 4)]
-            r1 = 2 * vals[1] - vals[0]
-            r2 = 2 * vals[2] - vals[1]
-            if abs(r2 - r1) > mpf(10) ** (-(digits - 8)) * (1 + abs(r2)):
-                raise ArithmeticError(f"cusp-limit extrapolation disagreement at {cusp}: {abs(r2 - r1)}")
-            return r2
+        N, (scale, w) = self.level, combo
+        shift = (np.arange(N) - np.arange(N)[:, None]) % N       # shift[s, t] = t - s mod N
+        rows = sum(self.values[:, i].astype(object) @ w[i][shift] for i in w)
+        return [[scale * x for x in row] for row in _reduce(rows, N).tolist()]
 
 
 @memo

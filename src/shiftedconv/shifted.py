@@ -152,7 +152,7 @@ def beta_fit(model: EllipticCurveModel, h_max: int, digits: int,
     beta at infinity 1.
     """
     with mp.workdps(digits + 10):
-        basis = indicator_basis(model.conductor, h_max, digits + 10)
+        basis = indicator_basis(model.conductor, h_max, digits)
         if target is None:
             target = hol_projection_hat(model, h_max, digits, n_terms_for_d)
         cols = [an_coefficients(model, h_max).to_mp()] + list(basis.values())

@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd, prod
 
 import mpmath
@@ -313,19 +312,20 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
              for N in {get_curve(lab).conductor for lab in labels})
     out.append(CheckResult("10d-cusp-counts", "cusp widths sum to the index N prod (1 + 1/p) of Gamma0(N)",
                            ok, {}, time.time() - t0))
-    # indicator delta property, to the 10^-(40 - 8) within which the 40-digit cusp limit raises
+    # indicator delta property, exactly over Q(zeta_N)
     t0 = time.time()
-    with mp.workdps(cfg.digits):
-        worst = mpf(0)
-        for lab in labels:
-            eb = basis_for_level(get_curve(lab).conductor)
-            k = len(eb.cusps)
-            for i, j in product(range(k), repeat=2):
-                v = eb.cusp_constant_numeric(eb.combos[i], eb.cusps[j], 40)
-                worst = max(worst, abs(v - (1 if i == j else 0)))
-    out.append(CheckResult("10e-indicator-delta",
-                           "exact indicators' numerical cusp limits hit delta values to 1e-32",
-                           worst <= mpf(10) ** -32, {"worst": _str(worst, 3)}, time.time() - t0))
+    bad, pairs = [], 0
+    for N in sorted({get_curve(lab).conductor for lab in labels}):
+        eb = basis_for_level(N)
+        for i, combo in enumerate(eb.combos):
+            for j, value in enumerate(eb.cusp_values(combo)):
+                pairs += 1
+                if value != [int(i == j)] + [0] * (len(value) - 1):
+                    bad.append(f"level {N}: F^({eb.cusps[i]}) at {eb.cusps[j]}")
+    out.append(CheckResult("10e-indicator-delta", "each indicator is exactly 1 at its own cusp "
+                           "and 0 at every other, over Q(zeta_N)", not bad,
+                           {"pairs": str(pairs), **({"first_failure": bad[0]} if bad else {})},
+                           time.time() - t0))
     return out
 
 

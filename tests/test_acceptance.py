@@ -144,6 +144,24 @@ def test_criterion_10b_eta_condition_can_fail(monkeypatch):
     assert hasse.details["11a1"] == "eta product mismatch at [9973]"
 
 
+def test_criterion_10e_indicator_delta_can_fail(monkeypatch):
+    """One weight of one indicator's combination changed by 1 breaks the exact delta values."""
+    import copy
+    from shiftedconv.eisenstein import basis_for_level
+    eb = basis_for_level(27)
+    broken = copy.copy(eb)
+    broken.combos = list(eb.combos)
+    scale, w = eb.combos[1]
+    i = min(w)
+    bumped = w[i].copy()
+    bumped[0] += 1
+    broken.combos[1] = (scale, {**w, i: bumped})
+    monkeypatch.setattr(V, "basis_for_level", lambda N: broken)
+    delta = next(r for r in V.check_properties(CFG, ["27a1"]) if r.check_id == "10e-indicator-delta")
+    assert not delta.passed
+    assert delta.details["first_failure"].startswith(f"level 27: F^({eb.cusps[1]}) at ")
+
+
 def test_criterion_11_beta_vanishing():
     assert _run(V.check_beta_vanishing).passed
 

@@ -1,7 +1,6 @@
 import copy
 import tracemalloc
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 import numpy as np
@@ -184,26 +183,17 @@ def test_indicator_f_infinity_27_e2_oracle():
         assert abs(orbits[e] - mpf(w.numerator) / w.denominator) < mpf("1e-40"), e
 
 
-def test_indicator_delta_property_numeric():
-    """Every indicator is 1 at its own cusp and 0 at every other, as a numerical cusp limit,
-    to the 10^-(40 - 8) within which the 40-digit limit raises."""
-    for N in sorted(EXPECTED_COUNTS):
-        eb = basis_for_level(N)
-        k = len(eb.cusps)
-        for i, j in product(range(k), repeat=2):
-            v = eb.cusp_constant_numeric(eb.combos[i], eb.cusps[j], 40)
-            assert abs(v - (1 if i == j else 0)) <= mpf(10) ** -32, (N, i, j)
-
-
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
 def test_indicators_are_exactly_delta_at_the_cusps(N):
-    """sum_i values[j, i] scale w_i, reduced modulo Phi_N, is exactly 1 at j = j' and 0 elsewhere."""
+    """sum_i values[j, i] scale w_i, reduced modulo Phi_N, is exactly 1 at j = j' and 0 elsewhere,
+    and `cusp_values` gives the same coordinates."""
     eb = basis_for_level(N)
     for jp, (scale, w) in enumerate(eb.combos):
+        got = eb.cusp_values((scale, w))
         for j in range(len(eb.cusps)):
             c = sum(np.convolve(eb.values[j, i].astype(object), w[i].astype(object)) for i in w)
-            value = _reduce(c[:N] + np.append(c[N:], 0), N)
-            assert _coords([(scale, value)]) == _rational_coords(int(j == jp), N), (N, j, jp)
+            value = _coords([(scale, _reduce(c[:N] + np.append(c[N:], 0), N))])
+            assert value == got[j] == _rational_coords(int(j == jp), N), (N, j, jp)
 
 
 @pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS) + [2, 30])
@@ -227,9 +217,10 @@ def test_inverse_rejects_an_irrational_determinant():
     assert scale == Fraction(1, 3) and list(w) == [0] and w[0].tolist() == [1, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("N", (11, 27, 36, 49))
+@pytest.mark.parametrize("N", sorted(EXPECTED_COUNTS))
 def test_cusp_constant_matches_per_vector_oracle(N):
-    """The row-grouped cusp limit equals one vector_eval per slashed vector.
+    """The cusp limit of each indicator, one vector_eval per slashed vector with kappa from
+    the sine formula, is 1 at its own cusp and 0 at the others, as the exact values say.
 
     The pairs are each indicator at its own cusp and at the next one, and the
     infinity indicator at the last cusp.
@@ -238,9 +229,8 @@ def test_cusp_constant_matches_per_vector_oracle(N):
     k = len(eb.cusps)
     pairs = {(i, j) for i in range(k) for j in (i, (i + 1) % k)} | {(0, k - 1)}
     for i, j in sorted(pairs):
-        got = eb.cusp_constant_numeric(eb.combos[i], eb.cusps[j], 40)
-        want = cusp_constant_per_vector(eb, eb.combos[i], eb.cusps[j], 40)
-        assert abs(got - want) < mpf("1e-35"), (N, i, j)
+        got = cusp_constant_per_vector(eb, eb.combos[i], eb.cusps[j], 40)
+        assert abs(got - (1 if i == j else 0)) < mpf("1e-35"), (N, i, j)
 
 
 def test_indicator_rational_recovery_diagnostic():
