@@ -20,10 +20,11 @@ from .shifted import d_direct_table, l_series_closed_form
 from .verify import verify_all
 
 
-C_MAX_LIMIT = 100_000  # the per-call Kloosterman tables grow like c_max^2 (README)
+C_MAX_LIMIT = 100_000  # building the per-call Kloosterman tables grows like c_max^2 (README)
 TERMS_LIMIT = 1_000_000  # point counting raises above p = 1.3e6 (README)
 INDICATOR_LIMIT = 1_000  # the orbit expansions grow linearly in n_max (README)
-MOCK_LIMIT = 200  # the exact mock form takes 0.2 s at n_max 100 and 7 s at 200 (README)
+MOCK_LIMIT = 200  # the exact mock form takes 0.2 s at n_max 100 and 7 s at 200; poincare
+# --n-max shares it, the range over which b_Q can be compared with Zhat^+ (README)
 
 
 def _integer(lo, hi=None):
@@ -236,7 +237,7 @@ def build_parser():
 
     s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--n-max", type=_integer(1), default=10)
+    s.add_argument("--n-max", type=_integer(1, MOCK_LIMIT), default=10)
     s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
     s.add_argument("--maass", action="store_true",
                    help="b_Q(-1, 2, N; n) of the Maass-Poincare series instead of b_P(1, 2, N; n)")

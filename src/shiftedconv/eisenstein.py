@@ -50,7 +50,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .config import memo
-from .poincare import _factors
+from .newform import _factors
 from .series import FourierSeries
 
 

@@ -36,7 +36,15 @@ def mock_parts(model: EllipticCurveModel, n_max: int) -> tuple:
 def s_value(model: EllipticCurveModel, digits: int):
     """S(Lambda) in Zhat^+ = R - S E: Re S of the lattice, or R[1] at the CM levels, where
     Zhat^+ has no q^1 term and E = q + ... (R[1] = 0, 0, 0, 1/4 at N = 27, 32, 36, 49).
-    A lattice S farther than 10^-digits from it raises ArithmeticError."""
+    A lattice S farther than 10^-digits from it raises ArithmeticError.
+
+    Zhat^+[1] = b_Q(-1, 2, N; 1) is a sum of K(-1, 1; c) over N | c.  At 27, 36 and 49
+    every such c has a factor p^a, a >= 2, with p = 3 or 7, and K(-1, 1; c) has the
+    factor K(1, -rbar^2; p^a), rbar prime to p.  For odd p and a >= 2, K(m, n; p^a)
+    vanishes unless mn is a square mod p (the evaluation of Kloosterman sums to
+    prime-power moduli, Iwaniec-Kowalski, Analytic Number Theory), and -1 is not a
+    square mod 3 or 7, so every term is 0.  At 32 (factor 2^a, a >= 5) the vanishing
+    of K(-1, 1; c) rests on a test alone (`tests/test_poincare.py`, c <= 10^4)."""
     lattice_s = build_lattice(model, digits).s_lambda
     s = mock_parts(model, 1)[0][1] if model.has_cm else lattice_s.real
     with mp.workdps(digits + 10):

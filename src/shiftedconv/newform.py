@@ -12,8 +12,9 @@ from .curves import EllipticCurveModel
 from .series import FourierSeries
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[k] for 0 <= k <= n: the least prime factor of k (spf[k] = k for primes, 0 and 1)."""
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[k] for 0 <= k <= n, an int64 array: the least prime factor of k (spf[k] = k for
+    primes, 0 and 1)."""
     spf = np.zeros(n + 1, dtype=np.int64)
     for p in range(2, isqrt(n) + 1):
         if spf[p] == 0:
@@ -21,7 +22,23 @@ def _smallest_prime_factors(n: int) -> list[int]:
             multiples[multiples == 0] = p
     unset = spf == 0
     spf[unset] = np.nonzero(unset)[0]
-    return spf.tolist()
+    return spf
+
+
+def _factors(c: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing c, p ascending, by trial division."""
+    out, rest, p = [], c, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    return out
 
 
 def _count_points_char_sum(model: EllipticCurveModel, p: int) -> int:
@@ -81,7 +98,7 @@ class _CoefficientTable:
 
     def _grow(self, n_max: int) -> None:
         a = self.a.tolist() + [0] * (n_max + 1 - len(self.a))
-        spf = _smallest_prime_factors(n_max)
+        spf = _smallest_prime_factors(n_max).tolist()
         N = self.model.conductor
         for n in range(len(self.a), n_max + 1):
             p = spf[n]

@@ -2,90 +2,153 @@
 
 from __future__ import annotations
 
-from math import inf, lcm, pi
+from math import inf, pi
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .curves import SUPPORTED_CONDUCTORS
+from .newform import _smallest_prime_factors
 
 _TWO_PI = 2 * np.pi
+_BATCH = 4096  # table entries whose units, inverses and phases are built together
 
 
-def _factors(c: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing c, p ascending, by trial division."""
-    out, rest, p = [], c, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            out.append((p, e))
-        p += 1
+def _power_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod `mod` elementwise on int64 arrays, mod >= 2, by square-and-multiply;
+    every product stays below mod^2 < 2^63.  A bit set in every exponent, or in none,
+    costs no select."""
+    out = np.ones_like(base)
+    base = base % mod
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        odd = exp >> bit & 1
+        if odd.all():
+            out = out * base % mod
+        elif odd.any():
+            out = np.where(odd, out * base % mod, out)
+        base = base * base % mod
     return out
 
 
-def _units(c: int):
-    """(d, dbar) int64 arrays over the units d mod c, d ascending.
+def _carmichael(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Carmichael's lambda(q) of the prime powers q = p^e, elementwise."""
+    return np.where((p == 2) & (q >= 8), q // 4, q // p * (p - 1))
 
-    The units are what is left of 0..c-1 once the multiples of each prime p | c are
-    struck out.  dbar = d^(lambda(c) - 1) mod c, with lambda Carmichael's function, by
-    square-and-multiply on the whole array; every product stays below c^2 < 2^63.
+
+def _factor_ranks(cs: np.ndarray, spf: np.ndarray) -> list:
+    """The prime powers exactly dividing each modulus, by rank: entry k holds (rows, q)
+    for the moduli cs[rows] with more than k prime factors, q the k-th of their prime
+    powers, primes ascending.  spf is the smallest-prime-factor sieve to max(cs)."""
+    ranks, rest = [], cs.copy()
+    rows = np.flatnonzero(rest > 1)
+    while rows.size:
+        r = rest[rows]
+        p = spf[r]
+        q = p.copy()
+        r //= p
+        more = r % p == 0
+        while more.any():
+            q[more] *= p[more]
+            r[more] //= p[more]
+            more = r % p == 0
+        rest[rows] = r
+        ranks.append((rows, q))
+        rows = rows[r > 1]
+    return ranks
+
+
+def _distinct_by_prime(q: np.ndarray, spf: np.ndarray) -> np.ndarray:
+    """The distinct prime powers of q, ordered by prime and then by exponent.
+
+    Built without sorting: a process's first numpy sort maps the sort kernels, 0.1 to
+    0.8 MB of resident code, which would show in the peak RSS of every `poincare` run.
     """
-    mask = np.ones(c, dtype=bool)
-    lam = 1
-    for p, e in _factors(c):
-        mask[::p] = False
-        lam = lcm(lam, p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 2 ** (e - 2))
-    ds = np.flatnonzero(mask).astype(np.int64)
-    dbars = np.ones_like(ds) % c  # 1 mod c, which is 0 when c = 1
-    base, e = ds, lam - 1
-    while e:
-        if e & 1:
-            dbars = dbars * base % c
-        base = base * base % c
-        e >>= 1
-    return ds, dbars
+    top = int(q.max())
+    seen = np.zeros(top + 2, dtype=bool)
+    seen[q] = True
+    primes = np.flatnonzero(np.bincount(spf[q]))
+    powers = [primes]
+    while powers[-1].min() <= top:
+        powers.append(np.minimum(powers[-1] * primes, top + 1))
+    grid = np.stack(powers, axis=1).ravel()  # row i: the powers of the i-th prime
+    return grid[seen[grid]]
 
 
-def _kloosterman_table(q: int) -> np.ndarray:
-    """K(1, t; q) for t = 0 .. q-1: the DFT of e(-dbar/q) over the units d mod q.
+def _kloosterman_tables(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """K(1, t; q) for t = 0 .. q-1 at each prime power q = p^e of `qs`, concatenated.
 
-    K(1, t; q) is real, so it equals sum_d e(-(dbar + t d)/q), entry t of the DFT.
+    Each table is the DFT of e(-dbar/q) over the units d mod q: K(1, t; q) is real, so
+    it equals sum_d e(-(dbar + t d)/q), entry t of the DFT.  The units are the d prime
+    to p.  For d <= q/2, dbar = d^(lambda(q) - 1) mod q, lambda Carmichael's function,
+    and the inverse of q - d is q - dbar.  The units, inverses and phases of all the
+    tables are built together, the DFTs one table at a time.
     """
-    ds, dbars = _units(q)
-    u = np.zeros(q, dtype=complex)
-    u[ds] = np.exp(-1j * (_TWO_PI / q) * dbars)
-    return np.fft.fft(u).real.copy()  # not a view that keeps the complex array alive
+    halves = qs // 2
+    d = np.arange(int(halves.sum()) + len(qs))
+    d -= np.repeat(np.cumsum(halves + 1) - halves - 1, halves + 1)  # 0 .. q/2 per table
+    d = d[d % np.repeat(ps, halves + 1) != 0]  # the units 0 < d <= q/2
+    count = halves - halves // ps
+    q = np.repeat(qs, count)
+    start = np.repeat(np.cumsum(qs) - qs, count)
+    dbars = _power_mod(d, np.repeat(_carmichael(ps, qs) - 1, count), q)
+    length = int(qs.sum())
+    u = np.zeros(length, dtype=complex)
+    phase = -1j * (_TWO_PI / q)
+    u[start + d] = np.exp(phase * dbars)
+    u[start + q - d] = np.exp(phase * (q - dbars))
+    tables = np.empty(length)
+    start = 0
+    for size in qs.tolist():
+        tables[start:start + size] = np.fft.fft(u[start:start + size]).real
+        start += size
+    return tables
 
 
-def kloosterman_row(m: int, ns: np.ndarray, c: int, tables: dict | None = None) -> np.ndarray:
-    """Double-precision K(m, n; c), m = 1 or -1, for every n in the int64 array `ns`.
+def kloosterman_array(m: int, ns: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Double-precision K(m, n; c), m = 1 or -1, at every modulus c of the int64 array `cs`
+    and every n of the int64 array `ns`, as a (len(cs), len(ns)) array.
 
     K(m, n; c) is the product over the prime powers q || c of K(m rbar, n rbar; q),
     where rbar is the inverse of c/q mod q (twisted multiplicativity).  m rbar is a
     unit mod q, and substituting d -> m rbar d turns the factor into
-    K(1, m rbar^2 n; q).  It is read from the table of K(1, t; q), t mod q, kept in
-    `tables` under q and built on first use; a caller that passes one dict for many
-    moduli builds each table once.
+    K(1, m rbar^2 n; q), entry m rbar^2 n mod q of the table of K(1, t; q).
+
+    The moduli are factored once, by the smallest-prime-factor sieve.  Their prime
+    powers are taken by ascending prime and cut into batches of about `_BATCH` table
+    entries; each batch's tables are built once, read and dropped before the next
+    batch is built.  A batch's factors are gathered for all moduli of one factor rank
+    at a time, so every row multiplies its factors in ascending prime order, starting
+    from 1.
     """
     if m not in (1, -1):
         raise ValueError("index must be 1 or -1")
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if tables is None:
-        tables = {}
-    out = np.ones(len(ns))
-    for p, e in _factors(c):
-        q = p ** e
-        rbar = pow(c // q, -1, q)
-        table = tables.get(q)
-        if table is None:
-            table = tables[q] = _kloosterman_table(q)
-        out *= table[m * rbar * rbar % q * ns % q]
+    if len(cs) and cs.min() < 1:
+        raise ValueError("moduli must be positive")
+    out = np.ones((len(cs), len(ns)))
+    if not len(cs):
+        return out
+    spf = _smallest_prime_factors(int(cs.max()))
+    ranks = _factor_ranks(cs, spf)
+    qs = _distinct_by_prime(np.concatenate([q for _, q in ranks]), spf)
+    place = np.zeros(qs.max() + 1, dtype=np.int64)
+    place[qs] = np.arange(len(qs))
+    starts = np.cumsum(qs) - qs
+    batch = starts // _BATCH
+    # per rank: the rows, their prime powers q, m rbar^2 mod q, and where q's table lies
+    factors = []
+    for rows, q in ranks:
+        rbar = _power_mod(cs[rows] // q, _carmichael(spf[q], q) - 1, q)
+        at = place[q]
+        factors.append((rows, q, m * rbar * rbar % q, starts[at], batch[at]))
+    lo = 0
+    for hi in [*np.flatnonzero(np.diff(batch)) + 1, len(qs)]:
+        tables = None  # drop the last batch before building this one
+        tables = _kloosterman_tables(spf[qs[lo:hi]], qs[lo:hi])
+        for rows, q, t, start, in_batch in factors:
+            sel = in_batch == batch[lo]
+            index = (start[sel] - starts[lo])[:, None] + t[sel, None] * ns % q[sel, None]
+            out[rows[sel]] *= tables[index]
+        lo = hi
     return out
 
 
@@ -207,21 +270,17 @@ def _c_series(ns: Sequence[int], N: int, c_max: int, sign: int):
     """Sum the c-terms of b_P (sign -1) or b_Q (sign 1) over c = N, 2N, ... <= c_max.
 
     The term at (c, n) is K(-sign, n; c)/c times J_1 (sign -1) or I_1 (sign 1) at
-    4 pi sqrt(n)/c, and K(-sign, 0; c)/c^2 at n = 0.  The rows K(-sign, ns; c) are
-    gathered one modulus at a time into an array, whose Bessel factors then come from
-    one `_bessel_array` pass.  Returns (totals, tails) as lists, each total summed in
-    c order; a tail is the accumulated magnitude of the terms of the last decade,
-    c > 0.9 c_max.  The Kloosterman tables are shared by the moduli of this call and
-    dropped when it returns.
+    4 pi sqrt(n)/c, and K(-sign, 0; c)/c^2 at n = 0.  The rows K(-sign, ns; c) of all
+    moduli come from one `kloosterman_array` call, and their Bessel factors from one
+    `_bessel_array` pass.  Returns (totals, tails) as lists, each total summed in c
+    order; a tail is the accumulated magnitude of the terms of the last decade,
+    c > 0.9 c_max.
     """
     if N not in SUPPORTED_CONDUCTORS:
         raise ValueError(f"level must be one of {SUPPORTED_CONDUCTORS}, got {N}")
     rows = np.asarray(ns, dtype=np.int64)
     cs = np.arange(N, c_max + 1, N)
-    tables = {}
-    kl = np.empty((len(cs), len(rows)))
-    for j, c in enumerate(cs.tolist()):
-        kl[j] = kloosterman_row(-sign, rows, c, tables)
+    kl = kloosterman_array(-sign, rows, cs)
     col = cs[:, None].astype(float)
     zero = rows == 0
     args = 4 * np.pi * np.sqrt(rows[~zero].astype(float))

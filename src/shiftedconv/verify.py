@@ -15,8 +15,8 @@ from .curves import CM_DISCRIMINANTS, load_registry, get_curve
 from .eisenstein import basis_for_level, enumerate_cusps, infinity_indicator
 from .lattice import build_lattice
 from .mockform import eta_derivative_deviation, eta_quotient, mock_parts, s_value, zhat_plus
-from .newform import an_coefficients, an_array, _smallest_prime_factors
-from .poincare import _factors, bp_coefficient
+from .newform import an_coefficients, an_array, _factors, _smallest_prime_factors
+from .poincare import bp_coefficient
 from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
 
 
@@ -270,7 +270,7 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
     # CM and eta-product conditions are independent of it
     t0 = time.time()
     ok, details = True, {}
-    spf = _smallest_prime_factors(10_000)
+    spf = _smallest_prime_factors(10_000).tolist()
     for lab in labels:
         model = get_curve(lab)
         a = an_array(model, 10_000)

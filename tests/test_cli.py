@@ -207,13 +207,15 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["lattice", "--label", "11a1", "--digits", "10"], ">= 30"),
     (["verify", "--digits", "29"], ">= 30"),
     (["lseries", "--label", "11a1", "--h-max", "-1"], "1 .. 200"),
-    (["poincare", "--level", "11", "--n-max", "2.5"], ">= 1"),
-    (["poincare", "--level", "11", "--n-max", "0"], ">= 1"),
-    (["poincare", "--level", "11", "--n-max", "-3", "--maass"], ">= 1"),
+    (["poincare", "--level", "11", "--n-max", "2.5"], "1 .. 200"),
+    (["poincare", "--level", "11", "--n-max", "0"], "1 .. 200"),
+    (["poincare", "--level", "11", "--n-max", "-3", "--maass"], "1 .. 200"),
     (["eisenstein", "--level", "49", "--n-max", "1001"], "0 .. 1000"),
     (["mockform", "--label", "11a1", "--n-max", "201"], "0 .. 200"),
     (["lseries", "--label", "11a1", "--h-max", "201"], "1 .. 200"),
     (["lseries", "--label", "11a1", "--h-max", "1000000"], "1 .. 200"),
+    (["poincare", "--level", "11", "--n-max", "201"], "1 .. 200"),
+    (["poincare", "--level", "49", "--n-max", "1000000", "--maass"], "1 .. 200"),
 ])
 def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -236,6 +238,8 @@ def test_inputs_at_the_limits_are_accepted():
     assert build_parser().parse_args(["eisenstein", "--level", "11", "--n-max", "0"]).n_max == 0
     assert build_parser().parse_args(["mockform", "--label", "11a1", "--n-max", "0"]).n_max == 0
     assert build_parser().parse_args(["poincare", "--level", "11", "--n-max", "1"]).n_max == 1
+    args = build_parser().parse_args(["poincare", "--level", "11", "--n-max", "200", "--maass"])
+    assert (args.n_max, args.maass) == (200, True)
     assert build_parser().parse_args(["eisenstein", "--level", "49", "--n-max", "1000"]).n_max == 1000
     assert build_parser().parse_args(["mockform", "--label", "49a1", "--n-max", "200"]).n_max == 200
     assert build_parser().parse_args(["lseries", "--label", "11a1", "--h-max", "200"]).h_max == 200

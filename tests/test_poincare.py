@@ -7,11 +7,11 @@ import numpy as np
 from mpmath import mp, mpf
 
 from shiftedconv import poincare
-from shiftedconv.poincare import (_PASS_ULPS, _bessel_array, _bessel_pass, _bessel_series, _units,
-                                  bp_coefficient, bq_coefficient, kloosterman_row)
+from shiftedconv.poincare import (_PASS_ULPS, _bessel_array, _bessel_pass, _bessel_series,
+                                  bp_coefficient, bq_coefficient, kloosterman_array)
 
-from kloosterman_oracle import (bp_per_n, bq_per_n, kloosterman, kloosterman_float,
-                                units_listing)
+from kloosterman_oracle import (_units, bp_per_n, bq_per_n, kloosterman, kloosterman_float,
+                                kloosterman_row, units_listing)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -196,6 +196,38 @@ def test_bessel_array_above_threshold_is_the_scalar_series():
 
 
 _LEVELS = (11, 14, 15, 17, 19, 21, 27, 32, 36, 49)
+_KERNEL_NS = np.array([*range(11), -6, 999_983, 10 ** 6], dtype=np.int64)
+
+
+def _assert_kernel_is_oracle(cs):
+    for m in _MS:
+        tables = {}
+        want = np.array([kloosterman_row(m, _KERNEL_NS, c, tables) for c in cs.tolist()])
+        got = kloosterman_array(m, _KERNEL_NS, cs)
+        assert got.shape == (len(cs), len(_KERNEL_NS)), m
+        assert got.tobytes() == want.reshape(got.shape).tobytes(), m
+
+
+@pytest.mark.parametrize("N", _LEVELS)
+def test_one_pass_kernel_equals_per_modulus_oracle(N):
+    # c_max 1 and N - 1 leave no modulus; 10^4 reaches 11 2 3 5 7 = 2310 and 11^3
+    for c_max in (1, N - 1, N, 6000, 10_000):
+        _assert_kernel_is_oracle(np.arange(N, c_max + 1, N))
+
+
+def test_one_pass_kernel_on_every_modulus():
+    # c = 1, all prime powers to 2000 (2^10, 3^6, 7^3, ...) and up to four prime factors
+    _assert_kernel_is_oracle(np.arange(1, 2001))
+
+
+@pytest.mark.parametrize("N, vanishes", [(11, False), (27, True), (32, True), (36, True), (49, True)])
+def test_kloosterman_minus_one_one_at_the_cm_levels(N, vanishes):
+    # every N | c has a factor 3^a or 7^a, a >= 2 (27, 36, 49), or 2^a, a >= 5 (32), and
+    # K(-1, 1; c) has the factor K(1, -rbar^2; p^a), which vanishes when -1 is not a
+    # square mod p (odd p) or mod 8; so b_Q(-1, 2, N; 1) = 0 there
+    cs = np.arange(N, 10_001, N)
+    ratio = np.abs(kloosterman_array(-1, np.array([1]), cs)[:, 0]) / cs
+    assert np.all(ratio <= 1e-12) if vanishes else ratio.max() > 0.1
 
 
 def test_coefficients_match_per_element_bessel(monkeypatch):
@@ -277,3 +309,7 @@ def test_weight_validation():
         kloosterman(1, 1, 0)
     with pytest.raises(ValueError):
         kloosterman_row(1, _NS, 0)
+    with pytest.raises(ValueError):
+        kloosterman_array(2, _NS, np.array([11]))
+    with pytest.raises(ValueError):
+        kloosterman_array(1, _NS, np.array([11, 0]))
