@@ -210,7 +210,7 @@ def _assert_kernel_is_oracle(cs):
 
 @pytest.mark.parametrize("N", _LEVELS)
 def test_one_pass_kernel_equals_per_modulus_oracle(N):
-    # c_max 1 and N - 1 leave no modulus; 10^4 reaches 11 2 3 5 7 = 2310 and 11^3
+    # c_max 1 and N - 1 leave no modulus; 10^4 reaches 2310 = 2*3*5*7*11 and 11^3
     for c_max in (1, N - 1, N, 6000, 10_000):
         _assert_kernel_is_oracle(np.arange(N, c_max + 1, N))
 
@@ -222,9 +222,9 @@ def test_one_pass_kernel_on_every_modulus():
 
 @pytest.mark.parametrize("N, vanishes", [(11, False), (27, True), (32, True), (36, True), (49, True)])
 def test_kloosterman_minus_one_one_at_the_cm_levels(N, vanishes):
-    # every N | c has a factor 3^a or 7^a, a >= 2 (27, 36, 49), or 2^a, a >= 5 (32), and
-    # K(-1, 1; c) has the factor K(1, -rbar^2; p^a), which vanishes when -1 is not a
-    # square mod p (odd p) or mod 8; so b_Q(-1, 2, N; 1) = 0 there
+    # every N | c has a factor p^a, a >= 2, with p = 3 or 7 (27, 36, 49) or 2^a, a >= 5
+    # (32), and K(-1, 1; c) has the factor K(1, -rbar^2; p^a); for odd p it vanishes as
+    # -1 is not a square mod p (`mockform.s_value`), at 32 this test is the only ground
     cs = np.arange(N, 10_001, N)
     ratio = np.abs(kloosterman_array(-1, np.array([1]), cs)[:, 0]) / cs
     assert np.all(ratio <= 1e-12) if vanishes else ratio.max() > 0.1
