@@ -10,7 +10,6 @@ from .poincare import bp_coefficient, bq_coefficient
 from .series import FourierSeries
 from .shifted import (ShiftedConvolutionTable, d_direct, l_series_closed_form,
                       alpha_constant, hol_projection_hat, support_modulus)
-from .verify import verify_all
 
 __all__ = [
     "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
@@ -21,7 +20,7 @@ __all__ = [
     "bp_coefficient", "bq_coefficient",
     "FourierSeries", "ShiftedConvolutionTable", "d_direct",
     "l_series_closed_form", "alpha_constant", "hol_projection_hat",
-    "support_modulus", "verify_all",
+    "support_modulus",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -17,7 +16,6 @@ from .mockform import ETA_DERIVATIVE_TABLE, eta_derivative_deviation, s_value, z
 from .newform import an_coefficients
 from .poincare import bp_coefficient, bq_coefficient
 from .shifted import d_direct_table, l_series_closed_form
-from .verify import verify_all
 
 
 C_MAX_LIMIT = 100_000  # building the per-call Kloosterman tables grows like c_max^2 (README)
@@ -76,6 +74,7 @@ def cmd_coeffs(args):
     if args.format == "json":
         print(json.dumps([[n, a] for n, a in rows]))
     elif args.format == "csv":
+        import csv
         w = csv.writer(sys.stdout)
         w.writerow(["n", "a_n"])
         w.writerows(rows)
@@ -174,6 +173,7 @@ def cmd_lseries(args):
     if args.format == "json":
         print(json.dumps(payload, indent=1))
     elif args.format == "csv":
+        import csv
         w = csv.writer(sys.stdout)
         w.writerow(["label", "method", "h", "value", "err"])
         for tab in payload:
@@ -188,6 +188,7 @@ def cmd_lseries(args):
 
 
 def cmd_verify(args):
+    from .verify import verify_all
     cfg = PrecisionConfig(digits=args.digits, direct_terms=args.terms,
                           kloosterman_c_max=args.c_max)
     labels = [args.label] if args.label else None
@@ -206,60 +207,77 @@ def cmd_verify(args):
     return 1 if n_fail else 0
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="shiftedconv",
-                                description="Shifted convolution L-values for the ten "
-                                            "genus-one modular elliptic curves")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = _options(sub.add_parser("curves", help="list the curve registry"))
-    s.set_defaults(fn=cmd_curves)
-
-    s = _options(sub.add_parser("coeffs", help="newform coefficients a(n)"), csv_rows=True,
-                 label=True)
+def _add_coeffs(s):
     s.add_argument("--n-max", type=_integer(1, TERMS_LIMIT), default=50)
-    s.set_defaults(fn=cmd_coeffs)
 
-    s = _options(sub.add_parser("lattice", help="periods, quasi-periods, volume, S"), digits=True,
-                 label=True)
-    s.set_defaults(fn=cmd_lattice)
 
-    s = _options(sub.add_parser("mockform", help="Weierstrass mock modular form expansion"),
-                 digits=True, label=True)
+def _add_mockform(s):
     s.add_argument("--n-max", type=_integer(0, MOCK_LIMIT), default=40)
     s.add_argument("--check-eta", action="store_true")
-    s.set_defaults(fn=cmd_mockform)
 
-    s = _options(sub.add_parser("eisenstein", help="cusp indicator basis"), digits=True)
+
+def _add_eisenstein(s):
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
     s.add_argument("--n-max", type=_integer(0, INDICATOR_LIMIT), default=30)
-    s.set_defaults(fn=cmd_eisenstein)
 
-    s = _options(sub.add_parser("poincare", help="Poincare series coefficients"))
+
+def _add_poincare(s):
     s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
     s.add_argument("--n-max", type=_integer(1, MOCK_LIMIT), default=10)
     s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
     s.add_argument("--maass", action="store_true",
                    help="b_Q(-1, 2, N; n) of the Maass-Poincare series instead of b_P(1, 2, N; n)")
-    s.set_defaults(fn=cmd_poincare)
 
-    s = _options(sub.add_parser("lseries", help="shifted convolution L-values"), digits=True,
-                 csv_rows=True, label=True)
+
+def _add_lseries(s):
     s.add_argument("--method", choices=("direct", "closed", "both"), default="both")
     s.add_argument("--h-max", type=_integer(1, MOCK_LIMIT), default=30)
     s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
-    s.set_defaults(fn=cmd_lseries)
 
-    s = _options(sub.add_parser("verify", help="run the acceptance suite"), digits=True)
+
+def _add_verify(s):
     s.add_argument("--label", choices=LABELS, default=None, help="restrict checks to one curve")
     s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
     s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
-    s.set_defaults(fn=cmd_verify)
+
+
+# name -> (help, command, _options flags, adder of the command's own options)
+COMMANDS = {
+    "curves": ("list the curve registry", cmd_curves, {}, None),
+    "coeffs": ("newform coefficients a(n)", cmd_coeffs, {"csv_rows": True, "label": True},
+               _add_coeffs),
+    "lattice": ("periods, quasi-periods, volume, S", cmd_lattice, {"digits": True, "label": True},
+                None),
+    "mockform": ("Weierstrass mock modular form expansion", cmd_mockform,
+                 {"digits": True, "label": True}, _add_mockform),
+    "eisenstein": ("cusp indicator basis", cmd_eisenstein, {"digits": True}, _add_eisenstein),
+    "poincare": ("Poincare series coefficients", cmd_poincare, {}, _add_poincare),
+    "lseries": ("shifted convolution L-values", cmd_lseries,
+                {"digits": True, "csv_rows": True, "label": True}, _add_lseries),
+    "verify": ("run the acceptance suite", cmd_verify, {"digits": True}, _add_verify),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or of `command` alone (the only one a run of it reads)."""
+    p = argparse.ArgumentParser(prog="shiftedconv",
+                                description="Shifted convolution L-values for the ten "
+                                            "genus-one modular elliptic curves")
+    # a one-command parser still names every command in its usage line
+    every = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (help_text, fn, flags, add) in COMMANDS.items():
+        if command in (None, name):
+            s = _options(sub.add_parser(name, help=help_text), **flags)
+            if add:
+                add(s)
+            s.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     return args.fn(args)
 
 

@@ -12,6 +12,14 @@ from .newform import _smallest_prime_factors
 
 _TWO_PI = 2 * np.pi
 _BATCH = 4096  # table entries whose units, inverses and phases are built together
+_BLOCK = 1 << 18  # (moduli x n) entries a column block of the c-sums works on at once
+
+
+def _column_blocks(n_rows: int, n_cols: int) -> list:
+    """Slices cutting n_cols columns into blocks of at most _BLOCK entries of n_rows rows
+    (at least one column each)."""
+    width = max(1, _BLOCK // max(n_rows, 1))
+    return [slice(lo, lo + width) for lo in range(0, n_cols, width)]
 
 
 def _power_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -117,8 +125,8 @@ def kloosterman_array(m: int, ns: np.ndarray, cs: np.ndarray) -> np.ndarray:
     powers are taken by ascending prime and cut into batches of about `_BATCH` table
     entries; each batch's tables are built once, read and dropped before the next
     batch is built.  A batch's factors are gathered for all moduli of one factor rank
-    at a time, so every row multiplies its factors in ascending prime order, starting
-    from 1.
+    at a time, one column block of `_column_blocks` after another, so every entry
+    multiplies its factors in ascending prime order, starting from 1.
     """
     if m not in (1, -1):
         raise ValueError("index must be 1 or -1")
@@ -146,8 +154,9 @@ def kloosterman_array(m: int, ns: np.ndarray, cs: np.ndarray) -> np.ndarray:
         tables = _kloosterman_tables(spf[qs[lo:hi]], qs[lo:hi])
         for rows, q, t, start, in_batch in factors:
             sel = in_batch == batch[lo]
-            index = (start[sel] - starts[lo])[:, None] + t[sel, None] * ns % q[sel, None]
-            out[rows[sel]] *= tables[index]
+            at, base = rows[sel], (start[sel] - starts[lo])[:, None]
+            for cols in _column_blocks(len(at), len(ns)):
+                out[at, cols] *= tables[base + t[sel, None] * ns[cols] % q[sel, None]]
         lo = hi
     return out
 
@@ -271,10 +280,11 @@ def _c_series(ns: Sequence[int], N: int, c_max: int, sign: int):
 
     The term at (c, n) is K(-sign, n; c)/c times J_1 (sign -1) or I_1 (sign 1) at
     4 pi sqrt(n)/c, and K(-sign, 0; c)/c^2 at n = 0.  The rows K(-sign, ns; c) of all
-    moduli come from one `kloosterman_array` call, and their Bessel factors from one
-    `_bessel_array` pass.  Returns (totals, tails) as lists, each total summed in c
-    order; a tail is the accumulated magnitude of the terms of the last decade,
-    c > 0.9 c_max.
+    moduli come from one `kloosterman_array` call.  Their Bessel factors, the terms and
+    the sums are taken one column block of `_column_blocks` at a time, which bounds the
+    temporaries of a long call and leaves every column's arithmetic as it is.  Returns
+    (totals, tails) as lists, each total summed in c order; a tail is the accumulated
+    magnitude of the terms of the last decade, c > 0.9 c_max.
     """
     if N not in SUPPORTED_CONDUCTORS:
         raise ValueError(f"level must be one of {SUPPORTED_CONDUCTORS}, got {N}")
@@ -282,13 +292,18 @@ def _c_series(ns: Sequence[int], N: int, c_max: int, sign: int):
     cs = np.arange(N, c_max + 1, N)
     kl = kloosterman_array(-sign, rows, cs)
     col = cs[:, None].astype(float)
-    zero = rows == 0
-    args = 4 * np.pi * np.sqrt(rows[~zero].astype(float))
-    terms = np.empty_like(kl)
-    terms[:, ~zero] = kl[:, ~zero] * _bessel_array(args / col, sign) / col
-    if zero.any():
-        terms[:, zero] = kl[:, zero] / np.array([float(c ** 2) for c in cs.tolist()])[:, None]
-    return _sum_in_order(terms).tolist(), _sum_in_order(np.abs(terms[cs > 0.9 * c_max])).tolist()
+    last = cs > 0.9 * c_max
+    totals, tails = np.empty(len(rows)), np.empty(len(rows))
+    for cols in _column_blocks(len(cs), len(rows)):
+        n, k = rows[cols], kl[:, cols]
+        zero = n == 0
+        args = 4 * np.pi * np.sqrt(n[~zero].astype(float))
+        terms = np.empty_like(k)
+        terms[:, ~zero] = k[:, ~zero] * _bessel_array(args / col, sign) / col
+        if zero.any():
+            terms[:, zero] = k[:, zero] / np.array([float(c ** 2) for c in cs.tolist()])[:, None]
+        totals[cols], tails[cols] = _sum_in_order(terms), _sum_in_order(np.abs(terms[last]))
+    return totals.tolist(), tails.tolist()
 
 
 def _sum_in_order(a: np.ndarray) -> np.ndarray:

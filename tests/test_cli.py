@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-from shiftedconv.cli import _nstr, build_parser, main
+import shiftedconv
+from shiftedconv.cli import COMMANDS, _nstr, build_parser, main
 from shiftedconv.eisenstein import basis_for_level
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
@@ -243,3 +248,28 @@ def test_inputs_at_the_limits_are_accepted():
     assert build_parser().parse_args(["eisenstein", "--level", "49", "--n-max", "1000"]).n_max == 1000
     assert build_parser().parse_args(["mockform", "--label", "49a1", "--n-max", "200"]).n_max == 200
     assert build_parser().parse_args(["lseries", "--label", "11a1", "--h-max", "200"]).h_max == 200
+
+
+def _fresh_python(code):
+    """stdout of `code` run by a fresh interpreter that imports the package under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftedconv.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_imports_stay_lazy_and_help_lists_every_command():
+    """The package loads no verify module and the CLI no csv until a command needs them;
+    the one-command parsers leave the full help as it was."""
+    out = _fresh_python("import sys, shiftedconv; print('shiftedconv.verify' in sys.modules)\n"
+                        "import shiftedconv.cli; print('csv' in sys.modules)")
+    assert out.split() == ["False", "False"]
+    help_text = _fresh_python("from shiftedconv.cli import main; main(['-h'])")
+    assert len(COMMANDS) == 8
+    for name, (help_line, *_) in COMMANDS.items():
+        assert f"    {name:<20}{help_line}" in help_text, name
+
+
+@pytest.mark.parametrize("argv", [["lattice", "--label", "11a1"], ["poincare", "--level", "11"],
+                                  ["verify", "--label", "14a1", "--digits", "40"]])
+def test_one_command_parser_reads_like_the_full_one(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))

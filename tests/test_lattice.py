@@ -2,10 +2,13 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from shiftedconv.curves import get_curve, load_registry
-from shiftedconv.lattice import (Lattice, LatticeError, _reduce_basis, build_lattice,
-                                 compute_periods, g_numbers, quasi_periods, s_lambda)
+import shiftedconv.lattice as L
+from shiftedconv.lattice import (Lattice, LatticeError, _e_k, _reduce_basis, _term_count,
+                                 _two_division_values, build_lattice, compute_periods, g_numbers,
+                                 quasi_periods, s_lambda)
 
 from g_oracle import eisenstein_numbers
+from lambert_oracle import _e_k as lambert_e_k
 from zeta_oracle import (RADIUS_RATIO, _wp_and_derivative, _zeta_series, laurent_numbers,
                          weierstrass_zeta)
 
@@ -22,6 +25,20 @@ def lattice_from_generators(omega1, omega2, precision_digits: int) -> Lattice:
     return Lattice(o1, o2, tau, volume, precision_digits=precision_digits)
 
 
+def short_invariants(model):
+    g2q, g3q = model.short_invariants()
+    return mpf(g2q.numerator) / g2q.denominator, mpf(g3q.numerator) / g3q.denominator
+
+
+def polyroots_two_division_values(model):
+    """The real roots of 4x^3 - g2 x - g3 by mpmath's polyroots, largest first."""
+    g2, g3 = short_invariants(model)
+    roots = mp.polyroots([4, 0, -g2, -g3], extraprec=60)
+    if model.discriminant > 0:
+        return sorted((r.real for r in roots), reverse=True)
+    return [min(roots, key=lambda r: abs(r.imag)).real]
+
+
 def integration_period(model, dps):
     """Oracle: real period by direct numerical integration of dx/y.
 
@@ -29,14 +46,8 @@ def integration_period(model, dps):
     quadrature converges to full precision.
     """
     with mp.workdps(dps):
-        g2q, g3q = model.short_invariants()
-        g2 = mpf(g2q.numerator) / g2q.denominator
-        g3 = mpf(g3q.numerator) / g3q.denominator
-        roots = mp.polyroots([4, 0, -g2, -g3], extraprec=60)
-        if model.discriminant > 0:
-            e1 = max(r.real for r in roots)
-        else:
-            e1 = min(roots, key=lambda r: abs(r.imag)).real
+        g2, g3 = short_invariants(model)
+        e1 = polyroots_two_division_values(model)[0]
 
         def integrand(t):
             x = e1 + t * t
@@ -223,3 +234,51 @@ def test_quasi_periods_legendre_check_is_live():
         quasi_periods(bad)
     eta1, eta2 = quasi_periods(lat)
     assert eta1 is not None and eta2 is not None
+
+
+@pytest.mark.parametrize("digits", [64, 80])
+def test_newton_roots_match_polyroots(digits):
+    """Newton's e1 and the quadratic factor's e2, e3 against mpmath's polyroots."""
+    for m in load_registry():
+        with mp.workdps(digits + 20):
+            got = _two_division_values(*short_invariants(m), m.discriminant > 0)
+            want = polyroots_two_division_values(m)
+            assert len(got) == (3 if m.discriminant > 0 else 1), m.label
+            for a, b in zip(got, want, strict=True):
+                assert abs(a - b) < mpf(10) ** -(digits + 10), m.label
+
+
+def test_newton_without_convergence_raises(monkeypatch):
+    monkeypatch.setattr(L, "_NEWTON_STEPS", 1)
+    with mp.workdps(84), pytest.raises(LatticeError, match="Newton"):
+        _two_division_values(*short_invariants(get_curve("11a1")), False)
+
+
+@pytest.mark.parametrize("digits", [64, 80])
+def test_fixed_point_series_match_the_lambert_loop(digits):
+    """E2, E4, E6 at tau and -1/tau against the Lambert-series loop, at the working precisions
+    of the lattice (digits + 20 for E4, E6 and digits + 15 for E2), in absolute terms:
+    E4(tau) = 0 at the j = 0 curves 27a1 and 36a1.  Each sum is within about 10^-dps of
+    E_k, whose values here are below 20."""
+    for m in load_registry():
+        lat = build_lattice(m, digits)
+        for dps, ks in ((digits + 20, (4, 6)), (digits + 15, (2,))):
+            with mp.workdps(dps):
+                for k in ks:
+                    for tau in (lat.tau, -1 / lat.tau):
+                        assert abs(_e_k(k, tau) - lambert_e_k(k, tau)) < mpf(10) ** -(dps - 2), \
+                            (m.label, k)
+
+
+def test_term_count_is_the_smallest_under_the_tail_bound():
+    """M is the first count whose tail bound (M+1)^k |q|^(M+1) / (1 - |q| ((M+2)/(M+1))^k)
+    is below 10^-(dps+5); a |q| near 1 needs more than 10 dps + 100 terms and raises."""
+    def bound(k, q, m):
+        return (m + 1) ** k * q ** (m + 1) / (1 - q * ((m + 2) / (m + 1)) ** k)
+
+    with mp.workdps(50):
+        for k, q, dps in ((2, mpf("0.024"), 79), (6, mpf("0.0043"), 100), (4, mpf("0.5"), 30)):
+            m = _term_count(k, float(mp.log(q)), dps)
+            assert bound(k, q, m) < mpf(10) ** -(dps + 5) <= bound(k, q, m - 1), (k, q)
+    with pytest.raises(LatticeError, match="terms"):
+        _term_count(2, -1e-3, 64)

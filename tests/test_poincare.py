@@ -244,6 +244,19 @@ def test_coefficients_match_per_element_bessel(monkeypatch):
             assert abs(g.value - w.value) <= 1e-13 and abs(g.tail_estimate - w.tail_estimate) <= 1e-13, N
 
 
+def test_long_call_equals_its_blockwise_calls():
+    """A 200-index call over 1400 moduli runs in two column blocks (187 + 13 columns at the
+    2^18-entry budget); it equals, bit for bit, one call per block and per-index calls."""
+    c_max = 11 * 1400
+    assert [b.indices(200) for b in poincare._column_blocks(1400, 200)] == [(0, 187, 1), (187, 200, 1)]
+    for coefficient, ns in ((bp_coefficient, range(1, 201)), (bq_coefficient, range(0, 200))):
+        whole = coefficient(11, ns, c_max)
+        blockwise = coefficient(11, ns[:187], c_max) + coefficient(11, ns[187:], c_max)
+        assert whole == blockwise
+        assert [whole[i] for i in (0, 186, 187, 199)] == [
+            coefficient(11, [ns[i]], c_max)[0] for i in (0, 186, 187, 199)]
+
+
 def test_bp_empty_sum_is_delta():
     r = bp_coefficient(11, [1], 0)[0]
     assert r.value == 1.0
