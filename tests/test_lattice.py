@@ -243,7 +243,6 @@ def test_newton_roots_match_polyroots(digits):
         with mp.workdps(digits + 20):
             got = _two_division_values(*short_invariants(m), m.discriminant > 0)
             want = polyroots_two_division_values(m)
-            assert len(got) == (3 if m.discriminant > 0 else 1), m.label
             for a, b in zip(got, want, strict=True):
                 assert abs(a - b) < mpf(10) ** -(digits + 10), m.label
 
