@@ -10,9 +10,12 @@ goes first.  Both revisions are exported with `git archive` into fresh
 temporary directories, removed afterwards, so that neither side runs with the build
 leftovers of a working tree: bytecode caches alone moved `lseries` op_s by 12% between
 two copies of one commit.  The output file holds, per workload and side, every run's
-end-to-end metrics, `attempted`, `failed`, `correct` and its peak-RSS op, the median
-and quartiles of each metric, and per metric the number of pairs in which the change
-did better.
+end-to-end metrics, `attempted`, `failed`, `correct`, its peak-RSS op and the median
+op time of each op kind (the first word of an op's key, as `mockform` in
+`mockform 11a1`), read from the run's result file; the median and quartiles of each
+metric and the median over runs of each kind's op time; and per metric the number of
+pairs in which the change did better and the median and quartiles of the paired
+differences, change minus parent.
 """
 
 from __future__ import annotations
@@ -59,21 +62,31 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float
     detail = json.loads((tree / "benchmark" / "results" /
                          f"{workload}-seed{seed}-trace0.json").read_text())
     peak = max(detail["ops"], key=lambda op: op.get("rss_mb", 0))
+    kinds = {}
+    for op in detail["ops"]:
+        if "t_done" in op:
+            kinds.setdefault(op["op"].split()[0], []).append(op["t_done"] - op["t_ready"])
     return {"seed": seed,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"],
-            "peak_rss_op": {"op": peak["op"], "rss_mb": peak["rss_mb"]}}
+            "peak_rss_op": {"op": peak["op"], "rss_mb": peak["rss_mb"]},
+            "op_s_by_kind": {kind: statistics.median(t) for kind, t in sorted(kinds.items())}}
+
+
+def quartiles(values: list) -> dict:
+    q1 = q3 = values[0]
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def summary(runs: list) -> dict:
-    out = {}
-    for name in runs[0]["metrics"]:
-        values = [run["metrics"][name] for run in runs]
-        q1 = q3 = values[0]
-        if len(values) > 1:
-            q1, _, q3 = statistics.quantiles(values, n=4)
-        out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    out = {name: quartiles([run["metrics"][name] for run in runs]) for name in runs[0]["metrics"]}
+    kinds = sorted({kind for run in runs for kind in run["op_s_by_kind"]})
+    out["op_s_by_kind"] = {kind: statistics.median(run["op_s_by_kind"][kind] for run in runs
+                                                   if kind in run["op_s_by_kind"])
+                           for kind in kinds}
     return out
 
 
@@ -112,14 +125,17 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"ops_per_s {run['metrics']['ops_per_s']:.4g} "
                           f"failed {run['failed']}/{run['attempted']}", flush=True)
-            wins = {}
+            wins, diffs = {}, {}
             for name, direction in better.items():
                 sign = 1 if direction == "higher" else -1
-                wins[name] = sum(sign * (c["metrics"][name] - q["metrics"][name]) > 0
-                                 for q, c in zip(runs["parent"], runs["change"]))
+                d = [c["metrics"][name] - q["metrics"][name]
+                     for q, c in zip(runs["parent"], runs["change"])]
+                wins[name] = sum(sign * x > 0 for x in d)
+                diffs[name] = quartiles(d)
             report["workloads"][workload] = {
                 "pairs": k,
                 "change_better_in_pairs": wins,
+                "paired_difference": diffs,
                 **{side: {"runs": runs[side], "summary": summary(runs[side])}
                    for side in ("parent", "change")},
             }

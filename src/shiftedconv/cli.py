@@ -21,8 +21,10 @@ from .shifted import d_direct_table, l_series_closed_form
 C_MAX_LIMIT = 100_000  # building the per-call Kloosterman tables grows like c_max^2 (README)
 TERMS_LIMIT = 1_000_000  # point counting raises above p = 1.3e6 (README)
 INDICATOR_LIMIT = 1_000  # the orbit expansions grow linearly in n_max (README)
-MOCK_LIMIT = 200  # the exact mock form takes 0.2 s at n_max 100 and 7 s at 200; poincare
-# --n-max shares it, the range over which b_Q can be compared with Zhat^+ (README)
+MOCK_LIMIT = 200  # mockform --n-max, lseries --h-max and poincare --n-max.  The exact mock
+# form no longer sets it (0.01 s at 14a1 and n_max 200): 200 is the range over which b_Q is
+# compared with Zhat^+, and it bounds the poincare c-sum arrays, which grow as
+# (c_max/N) n_max, to 76 MB RSS at c_max 10^5 (README)
 
 
 def _integer(lo, hi=None):
@@ -104,6 +106,10 @@ def cmd_lattice(args):
 
 def cmd_mockform(args):
     model = get_curve(args.label)
+    if args.check_eta and model.conductor not in ETA_DERIVATIVE_TABLE:
+        print(f"no eta-quotient tabulated for level {model.conductor} (only "
+              f"{', '.join(map(str, ETA_DERIVATIVE_TABLE))})", file=sys.stderr)
+        return 2
     z = zhat_plus(model, args.n_max, args.digits)
     rows = [(n, _nstr(z[n], args.digits)) for n in range(-1, args.n_max + 1)]
     if args.format == "json":
@@ -112,9 +118,6 @@ def cmd_mockform(args):
         for n, c in rows:
             print(f"q^{n:<4} {c}")
     if args.check_eta:
-        if model.conductor not in ETA_DERIVATIVE_TABLE:
-            print("no eta-quotient tabulated for this level", file=sys.stderr)
-            return 2
         worst = eta_derivative_deviation(model, args.n_max, args.digits)
         print(f"# eta-quotient check: max deviation {_nstr(worst, 6)}")
     return 0

@@ -1,10 +1,9 @@
-"""Period lattices: AGM periods, exact Eisenstein numbers, quasi-periods, and S(Lambda)."""
+"""Period lattices: AGM periods, quasi-periods, and S(Lambda)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
@@ -120,24 +119,6 @@ def compute_periods(model: EllipticCurveModel, precision_digits: int) -> Lattice
         if err > mpf(10) ** (-(precision_digits + 5)):
             raise LatticeError(f"{model.label}: lattice fails to reproduce g2/g3 (rel err {err})")
     return lat
-
-
-def g_numbers(model: EllipticCurveModel, w_max: int) -> list:
-    """[G_4, G_6, ..., G_{w_max}] of the model's period lattice, exact over Q.
-
-    With wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2): c_2 = g2/20, c_3 = g3/28,
-    c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m} for k >= 4, and G_2k = c_k/(2k-1)
-    (Silverman, The Arithmetic of Elliptic Curves, VI.3).
-    """
-    if w_max < 4:
-        return []
-    if w_max % 2:
-        raise ValueError("w_max must be even")
-    g2, g3 = model.short_invariants()
-    c = {2: g2 / 20, 3: g3 / 28}
-    for k in range(4, w_max // 2 + 1):
-        c[k] = Fraction(3, (2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1))
-    return [c[k] / (2 * k - 1) for k in range(2, w_max // 2 + 1)]
 
 
 _E_K_CONSTANT = {2: -24, 4: 240, 6: -504}

@@ -312,7 +312,9 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
              for N in {get_curve(lab).conductor for lab in labels})
     out.append(CheckResult("10d-cusp-counts", "cusp widths sum to the index N prod (1 + 1/p) of Gamma0(N)",
                            ok, {}, time.time() - t0))
-    # indicator delta property, exactly over Q(zeta_N)
+    # indicator delta property, exactly over Q(zeta_N): `combos` inverts the matrix `values`
+    # of cusp values; whether `values` are the orbits' true cusp values is for
+    # tests/test_eisenstein.py::test_cusp_constant_matches_per_vector_oracle
     t0 = time.time()
     bad, pairs = [], 0
     for N in sorted({get_curve(lab).conductor for lab in labels}):
@@ -322,8 +324,10 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
                 pairs += 1
                 if value != [int(i == j)] + [0] * (len(value) - 1):
                     bad.append(f"level {N}: F^({eb.cusps[i]}) at {eb.cusps[j]}")
-    out.append(CheckResult("10e-indicator-delta", "each indicator is exactly 1 at its own cusp "
-                           "and 0 at every other, over Q(zeta_N)", not bad,
+    out.append(CheckResult("10e-indicator-delta", "`combos` inverts `values` exactly over "
+                           "Q(zeta_N), and no more: `values` itself is tested by "
+                           "tests/test_eisenstein.py::test_cusp_constant_matches_per_vector_oracle",
+                           not bad,
                            {"pairs": str(pairs), **({"first_failure": bad[0]} if bad else {})},
                            time.time() - t0))
     return out

@@ -1,16 +1,22 @@
-"""The lattice sums G_w by the weight-w divisor-sum q-series, kept as a test oracle.
+"""The lattice sums G_w two ways, and the mock form's R from them, kept as test oracles.
 
-G_w(Lambda) = omega1^-w (2 zeta(w) + 2 (2 pi i)^w / (w-1)! sum sigma_{w-1}(n) q^n) at
-q = e^(2 pi i tau).  The package takes G_w exactly from g2 and g3 by the wp recursion
-(lattice.g_numbers); this route shares nothing with it but the periods.  It works at
-the ambient precision and caches nothing.
+`eisenstein_numbers`: G_w(Lambda) = omega1^-w (2 zeta(w) + 2 (2 pi i)^w / (w-1)!
+sum sigma_{w-1}(n) q^n) at q = e^(2 pi i tau), at the ambient precision.  `g_numbers`:
+G_w exactly from g2 and g3 by the wp recursion; the two routes share nothing but the
+periods.  `zeta_composition`: R = zeta(E) by the Laurent series of zeta, the route the
+package's `mockform.mock_parts` replaced with the modular parametrization.  Nothing here
+is cached.
 """
 
 import math
+from fractions import Fraction
+from math import lcm
 
 from mpmath import mp, mpf
 
+from shiftedconv.curves import EllipticCurveModel
 from shiftedconv.lattice import Lattice, LatticeError
+from shiftedconv.newform import an_coefficients, eichler_integral
 
 
 def _series_horizon(w: int, log_qinv: float, digits: int) -> int:
@@ -61,3 +67,39 @@ def eisenstein_numbers(lat: Lattice, w_max: int) -> list:
             raise LatticeError(f"q-series for G_{w} did not converge within {n_cap} terms")
         gs.append((2 * mp.zeta(w) + pref * total) * inv_o2 ** (w // 2))
     return gs
+
+
+def g_numbers(model: EllipticCurveModel, w_max: int) -> list:
+    """[G_4, G_6, ..., G_{w_max}] of the model's period lattice, exact over Q.
+
+    With wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2): c_2 = g2/20, c_3 = g3/28,
+    c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m} for k >= 4, and G_2k = c_k/(2k-1)
+    (Silverman, The Arithmetic of Elliptic Curves, VI.3).
+    """
+    if w_max < 4:
+        return []
+    if w_max % 2:
+        raise ValueError("w_max must be even")
+    g2, g3 = model.short_invariants()
+    c = {2: g2 / 20, 3: g3 / 28}
+    for k in range(4, w_max // 2 + 1):
+        c[k] = Fraction(3, (2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1))
+    return [c[k] / (2 * k - 1) for k in range(2, w_max // 2 + 1)]
+
+
+def zeta_composition(model: EllipticCurveModel, n_max: int):
+    """R = 1/E - sum_{k>=1} G_{2k+2} E^{2k+1}, exact through q^{n_max}.
+
+    The powers are taken of the integer series L E, L = lcm(1 .. n_max + 2), and scaled
+    by G_{2k+2}/L^{2k+1}.
+    """
+    t = n_max + 1
+    eich = eichler_integral(an_coefficients(model, n_max + 2))    # known below n_max + 3
+    scale = lcm(*range(1, n_max + 3))
+    power = (eich * scale).truncate(t)
+    square = power * power
+    r = eich.invert()                                             # known below n_max + 1
+    for k, g in enumerate(g_numbers(model, 2 * ((n_max - 1) // 2) + 2), start=1):
+        power = (power * square).truncate(t)                      # (L E)^{2k+1}
+        r = r - power * (g / scale ** (2 * k + 1))
+    return r

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 import shiftedconv
+import shiftedconv.cli as cli
 from shiftedconv.cli import COMMANDS, _nstr, build_parser, main
 from shiftedconv.eisenstein import basis_for_level
 from shiftedconv.lattice import build_lattice
@@ -72,6 +73,14 @@ def test_mockform_check_eta(capsys):
                                 "--digits", "32", "--check-eta"])
     assert code == 0
     assert "max deviation" in out
+
+
+def test_mockform_check_eta_rejects_an_untabulated_level_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "zhat_plus", lambda *a: pytest.fail("the series was computed"))
+    code, out, err = run(capsys, ["mockform", "--label", "11a1", "--n-max", "3", "--check-eta",
+                                  "--format", "json"])
+    assert code == 2 and out == ""
+    assert "no eta-quotient tabulated for level 11" in err
 
 
 def test_mockform_json_27a1_prints_exact_zeros(capsys):

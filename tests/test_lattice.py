@@ -4,10 +4,10 @@ from mpmath import mp, mpf, mpc
 from shiftedconv.curves import get_curve, load_registry
 import shiftedconv.lattice as L
 from shiftedconv.lattice import (Lattice, LatticeError, _e_k, _reduce_basis, _term_count,
-                                 _two_division_values, build_lattice, compute_periods, g_numbers,
+                                 _two_division_values, build_lattice, compute_periods,
                                  quasi_periods, s_lambda)
 
-from g_oracle import eisenstein_numbers
+from g_oracle import eisenstein_numbers, g_numbers
 from lambert_oracle import _e_k as lambert_e_k
 from zeta_oracle import (RADIUS_RATIO, _wp_and_derivative, _zeta_series, laurent_numbers,
                          weierstrass_zeta)
@@ -139,7 +139,8 @@ def test_g_recursion_oracle():
 
 
 def test_g_numbers_match_q_series_all_curves():
-    """The exact wp recursion against the divisor-sum q-series, G_4 .. G_64, all ten curves."""
+    """The two oracles for G_w agree: the exact wp recursion and the divisor-sum q-series,
+    G_4 .. G_64, all ten curves."""
     for m in load_registry():
         lat = build_lattice(m, 64)
         with mp.workdps(90):

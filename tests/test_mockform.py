@@ -4,11 +4,12 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpc, mpf
 
-from shiftedconv.curves import get_curve
-from shiftedconv.lattice import g_numbers
+from shiftedconv.curves import LABELS, get_curve
 from shiftedconv.newform import an_coefficients, eichler_integral
 from shiftedconv.mockform import (eta_derivative_deviation, eta_derivative_series, eta_quotient,
-                                  eta_unit, mock_parts, s_value, zhat_plus)
+                                  eta_unit, mock_parts, parametrization_x, s_value, zhat_plus)
+
+from g_oracle import zeta_composition
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -54,19 +55,34 @@ def test_zhat_support(label):
     assert all(e % n0 == n0 - 1 for e in z.coeffs if z[e] != 0), label
 
 
-@pytest.mark.parametrize("label", ("11a1", "49a1"))
-def test_mock_parts_match_plain_fraction_powers(label):
-    """The integer-scaled powers of E give the R of plain Fraction powers, bit for bit."""
+@pytest.mark.parametrize("label", LABELS)
+def test_mock_parts_match_zeta_composition(label):
+    """R from the modular parametrization is the R of zeta(E) by G_2k, bit for bit, to q^60."""
     model = get_curve(label)
-    r, e = mock_parts(model, 20)
-    eich = eichler_integral(an_coefficients(model, 22))
-    want = eich.invert()
-    power = eich
-    for g in g_numbers(model, 20):
-        power = power * eich * eich
-        want = want - power * g
-    assert r == want.truncate(21) and e == eich.truncate(21) and r.leading_exponent == -1
+    r, e = mock_parts(model, 60)
+    assert r == zeta_composition(model, 60) and r.leading_exponent == -1
+    assert e == eichler_integral(an_coefficients(model, 62)).truncate(61)
     assert all(isinstance(c, (int, Fraction)) for c in (*r.coeffs.values(), *e.coeffs.values()))
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (3, 0), (97, 94)])
+def test_parametrization_rejects_a_wrong_coefficient(p, k):
+    """a(p) + 1 leaves a remainder in the x(q) recursion at q^k (11a1, a(n) to n = 102)."""
+    model = get_curve("11a1")
+    f = an_coefficients(model, 102)
+    a = [f[n] for n in range(103)]
+    assert parametrization_x(model, a)[:8] == [1, 2, 4, 5, 8, 1, 7, -11]
+    a[p] += 1
+    with pytest.raises(ArithmeticError, match=rf"at q\^{k} is not an integer"):
+        parametrization_x(model, a)
+
+
+@pytest.mark.parametrize("label, j", [("32a1", 1728), ("27a1", 0), ("36a1", 0), ("49a1", -3375)])
+def test_j_invariants_of_the_cm_models(label, j):
+    """j = c4^3/Delta, exactly: at j = 1728 and 0, E2* and so S vanish (`s_value`)."""
+    model = get_curve(label)
+    c4 = model.b2 ** 2 - 24 * model.b4
+    assert Fraction(c4 ** 3, model.discriminant) == j
 
 
 def test_s_value_rejects_a_lattice_s_off_r1_or_off_the_real_line(monkeypatch):

@@ -224,7 +224,8 @@ def test_one_pass_kernel_on_every_modulus():
 def test_kloosterman_minus_one_one_at_the_cm_levels(N, vanishes):
     # every N | c has a factor p^a, a >= 2, with p = 3 or 7 (27, 36, 49) or 2^a, a >= 5
     # (32), and K(-1, 1; c) has the factor K(1, -rbar^2; p^a); for odd p it vanishes as
-    # -1 is not a square mod p (`mockform.s_value`), at 32 this test is the only ground
+    # -1 is not a square mod p (`mockform.s_value`); at 32 their sum, Zhat^+[1] = R[1] - S,
+    # is 0 as R[1] = 0 and S = 0 (j = 1728), and this test checks each term to c = 10^4
     cs = np.arange(N, 10_001, N)
     ratio = np.abs(kloosterman_array(-1, np.array([1]), cs)[:, 0]) / cs
     assert np.all(ratio <= 1e-12) if vanishes else ratio.max() > 0.1
