@@ -36,8 +36,8 @@ def parametrization_x(model: EllipticCurveModel, a: list) -> list:
     for m in range(1, n):
         sq = sum(x[i] * x[m - i] for i in range(1, m))
         cube = sq + sum(x[i] * x2[m - i] for i in range(1, m))
-        c = 4 * cube + (b2 * x2[m - 2] if m >= 2 else 0) + (2 * b4 * x[m - 4] if m >= 4 else 0) \
-            + (b6 if m == 6 else 0)
+        c = (4 * cube + (b2 * x2[m - 2] if m >= 2 else 0) + (2 * b4 * x[m - 4] if m >= 4 else 0)
+             + (b6 if m == 6 else 0))
         known = (sum((i - 2) * (m - i - 2) * x[i] * x[m - i] for i in range(1, m))
                  - c - sum(f2[j] * cubic[m - j] for j in range(1, m + 1)))
         xm, rest = divmod(known, 4 * m + 4)
