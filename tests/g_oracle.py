@@ -10,7 +10,6 @@ is cached.
 
 import math
 from fractions import Fraction
-from math import lcm
 
 from mpmath import mp, mpf
 
@@ -95,7 +94,7 @@ def zeta_composition(model: EllipticCurveModel, n_max: int):
     """
     t = n_max + 1
     eich = eichler_integral(an_coefficients(model, n_max + 2))    # known below n_max + 3
-    scale = lcm(*range(1, n_max + 3))
+    scale = math.lcm(*range(1, n_max + 3))
     power = (eich * scale).truncate(t)
     square = power * power
     r = eich.invert()                                             # known below n_max + 1
