@@ -16,6 +16,15 @@ op time of each op kind (the first word of an op's key, as `mockform` in
 metric and the median over runs of each kind's op time; and per metric the number of
 pairs in which the change did better and the median and quartiles of the paired
 differences, change minus parent.
+
+The pseudo-workload `e2e=K` times instead, per seed and side, the three end-to-end
+figures of ROADMAP aim 1, one after the other in the exported tree with `src` on
+PYTHONPATH and no bytecode written: the tier-1 suite (`tier1_s`),
+`python -m shiftedconv.cli verify --format json` (`verify_s`) and
+`python -m shiftedconv.cli lseries --label 11a1 --method both --format json`
+(`lseries_s`), wall seconds each.  A run's `failed` counts the commands that exited
+nonzero (tier-1's summary line is kept as `tier1_summary`).  One pair takes about
+six minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +84,30 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float
             "op_s_by_kind": {kind: statistics.median(t) for kind, t in sorted(kinds.items())}}
 
 
+E2E = {"tier1_s": ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
+                   "no:cacheprovider"],
+       "verify_s": ["-m", "shiftedconv.cli", "verify", "--format", "json"],
+       "lseries_s": ["-m", "shiftedconv.cli", "lseries", "--label", "11a1", "--method", "both",
+                     "--format", "json"]}
+
+
+def run_e2e(tree: Path, seed: int) -> dict:
+    """The wall time of each end-to-end command of `E2E` in `tree`."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    metrics, codes, summary_line = {}, {}, ""
+    for name, args in E2E.items():
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
+                              text=True)
+        metrics[name] = time.perf_counter() - t0
+        codes[name] = proc.returncode
+        if name == "tier1_s":
+            summary_line = (proc.stdout.strip().splitlines() or [""])[-1]
+    return {"seed": seed, "metrics": metrics, "attempted": len(E2E),
+            "failed": sum(code != 0 for code in codes.values()), "exit_codes": codes,
+            "tier1_summary": summary_line, "op_s_by_kind": {}}
+
+
 def quartiles(values: list) -> dict:
     q1 = q3 = values[0]
     if len(values) > 1:
@@ -102,6 +136,7 @@ def main(argv=None) -> int:
     plan = [(w, int(k)) for w, k in (item.split("=") for item in args.pairs)]
     report = {
         "command": spec["command"], "run_seconds": spec["run_seconds"], "trace": 0,
+        "e2e_commands": {name: ["python3", *args] for name, args in E2E.items()},
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
@@ -118,15 +153,20 @@ def main(argv=None) -> int:
             for seed in range(1, k + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    run = run_once(trees[side], spec["command"], workload, seed,
-                                   spec["run_seconds"])
+                    if workload == "e2e":
+                        run = run_e2e(trees[side], seed)
+                    else:
+                        run = run_once(trees[side], spec["command"], workload, seed,
+                                       spec["run_seconds"])
                     run["first"] = side == order[0]
                     runs[side].append(run)
-                    print(f"{workload} seed {seed} {side}: "
-                          f"ops_per_s {run['metrics']['ops_per_s']:.4g} "
+                    shown = ", ".join(f"{name} {value:.4g}"
+                                      for name, value in run["metrics"].items())
+                    print(f"{workload} seed {seed} {side}: {shown} "
                           f"failed {run['failed']}/{run['attempted']}", flush=True)
             wins, diffs = {}, {}
-            for name, direction in better.items():
+            directions = dict.fromkeys(E2E, "lower") if workload == "e2e" else better
+            for name, direction in directions.items():
                 sign = 1 if direction == "higher" else -1
                 d = [c["metrics"][name] - q["metrics"][name]
                      for q, c in zip(runs["parent"], runs["change"])]

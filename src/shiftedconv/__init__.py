@@ -1,6 +1,6 @@
 """Shifted convolution L-values for elliptic curves of modular degree one."""
 
-from .config import PrecisionConfig
+from .config import Estimate, PrecisionConfig
 from .curves import EllipticCurveModel, load_registry, get_curve
 from .eisenstein import enumerate_cusps, indicator_basis, infinity_indicator
 from .lattice import Lattice, build_lattice, compute_periods
@@ -12,7 +12,7 @@ from .shifted import (ShiftedConvolutionTable, d_direct, l_series_closed_form,
                       alpha_constant, hol_projection_hat, support_modulus)
 
 __all__ = [
-    "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
+    "Estimate", "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
     "enumerate_cusps", "indicator_basis", "infinity_indicator",
     "Lattice", "build_lattice", "compute_periods",
     "zhat_plus", "eta_quotient",

@@ -8,7 +8,7 @@ import sys
 
 import mpmath
 
-from .config import PrecisionConfig
+from .config import PrecisionConfig, fmt
 from .curves import LABELS, SUPPORTED_CONDUCTORS, load_registry, get_curve
 from .eisenstein import indicator_basis
 from .lattice import build_lattice
@@ -35,13 +35,6 @@ def _integer(lo, hi=None):
             raise argparse.ArgumentTypeError(f"must be an integer {limit}, got {text!r}")
         return int(text)
     return parse
-
-
-def _nstr(x, digits):
-    """`digits` significant digits of an mp or exact value, the latter converted at `digits`;
-    an exact zero and an mp zero both print as 0.0."""
-    with mpmath.workdps(digits):
-        return mpmath.nstr(mpmath.mpmathify(x), digits, strip_zeros=False)
 
 
 def _options(sub, *, digits=False, csv_rows=False, label=False):
@@ -89,13 +82,11 @@ def cmd_coeffs(args):
 def cmd_lattice(args):
     model = get_curve(args.label)
     lat = build_lattice(model, args.digits)
-    d = args.digits
-    fields = {
-        "omega1": _nstr(lat.omega1, d), "omega2": _nstr(lat.omega2, d),
-        "tau": _nstr(lat.tau, d), "volume": _nstr(lat.volume, d),
-        "eta1": _nstr(lat.eta1, d), "eta2": _nstr(lat.eta2, d),
-        "S": _nstr(s_value(model, d), d),
-    }
+    with mpmath.workdps(args.digits):
+        s = mpmath.mpmathify(s_value(model, args.digits))     # a Fraction at the CM levels
+    values = {"omega1": lat.omega1, "omega2": lat.omega2, "tau": lat.tau, "volume": lat.volume,
+              "eta1": lat.eta1, "eta2": lat.eta2, "S": s}
+    fields = {k: fmt(v, args.digits) for k, v in values.items()}
     if args.format == "json":
         print(json.dumps(fields, indent=2))
     else:
@@ -111,7 +102,7 @@ def cmd_mockform(args):
               f"{', '.join(map(str, ETA_DERIVATIVE_TABLE))})", file=sys.stderr)
         return 2
     z = zhat_plus(model, args.n_max, args.digits)
-    rows = [(n, _nstr(z[n], args.digits)) for n in range(-1, args.n_max + 1)]
+    rows = [(n, fmt(z[n], args.digits)) for n in range(-1, args.n_max + 1)]
     if args.format == "json":
         print(json.dumps(rows))
     else:
@@ -119,19 +110,19 @@ def cmd_mockform(args):
             print(f"q^{n:<4} {c}")
     if args.check_eta:
         worst = eta_derivative_deviation(model, args.n_max, args.digits)
-        print(f"# eta-quotient check: max deviation {_nstr(worst, 6)}")
+        print(f"# eta-quotient check: max deviation {fmt(worst, 6)}")
     return 0
 
 
 def cmd_eisenstein(args):
     ind = indicator_basis(args.level, args.n_max, args.digits)
     if args.format == "json":
-        out = {str(cusp): [(str(e), _nstr(series[e], args.digits)) for e in range(args.n_max + 1)]
+        out = {str(cusp): [(str(e), fmt(series[e], args.digits)) for e in range(args.n_max + 1)]
                for cusp, series in ind.items()}
         print(json.dumps(out, indent=1))
     else:
         for cusp, series in ind.items():
-            terms = [f"({_nstr(c, args.digits)})q^{e}" for e, c in sorted(series.coeffs.items())]
+            terms = [f"({fmt(c, args.digits)})q^{e}" for e, c in sorted(series.coeffs.items())]
             print(f"F^({cusp}): " + " + ".join(terms[:12]))
     return 0
 
@@ -143,7 +134,7 @@ def cmd_poincare(args):
     else:
         ns = range(1, args.n_max + 1)
         coeffs = bp_coefficient(args.level, ns, args.c_max)
-    rows = [{"n": n, "value": repr(r.value), "tail_estimate": repr(r.tail_estimate)}
+    rows = [{"n": n, "value": fmt(r.value, 17), "tail_estimate": fmt(r.err, 17)}
             for n, r in zip(ns, coeffs)]
     if args.format == "json":
         print(json.dumps(rows, indent=1))
@@ -165,13 +156,9 @@ def cmd_lseries(args):
         payload.append({
             "label": tab.label,
             "method": tab.method,
-            "entries": [{"h": h, "value": _nstr(tab.entries[h], args.digits) if tab.method == "closed-form"
-                         else repr(tab.entries[h]),
-                         "err": repr(tab.errors[h]) if isinstance(tab.errors[h], float)
-                         else _nstr(tab.errors[h], 3)}
-                        for h in sorted(tab.entries)],
-            "metadata": {k: mpmath.nstr(v, args.digits) if isinstance(v, mpmath.mpf) else str(v)
-                         for k, v in tab.metadata.items()},
+            "entries": [{"h": h, "value": fmt(tab.entries[h], args.digits),
+                         "err": fmt(tab.errors[h], 3)} for h in sorted(tab.entries)],
+            "metadata": {k: fmt(v, args.digits) for k, v in tab.metadata.items()},
         })
     if args.format == "json":
         print(json.dumps(payload, indent=1))

@@ -1,10 +1,13 @@
-"""Run-wide precision and truncation knobs, and the one cache policy."""
+"""Run-wide precision and truncation knobs, the one cache policy and the one print rule."""
 
 from __future__ import annotations
 
 import functools
 import inspect
 from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
 
 
 @dataclass(frozen=True)
@@ -18,6 +21,31 @@ class PrecisionConfig:
             raise ValueError("digits must be >= 30")
         if min(self.direct_terms, self.kloosterman_c_max) <= 0:
             raise ValueError("all counts must be positive")
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A value with its stated error.  Both errors stated today are heuristics, not
+    bounds: the half-spread of the Cesaro window of `shifted.d_direct` and the last-decade
+    tail of the Poincare c-sums (`poincare.bp_coefficient`) can each miss the true error
+    by a few times (ROADMAP item 3)."""
+    value: object
+    err: object
+
+
+def fmt(x, digits: int) -> str:
+    """The one print rule for a number: a str passes through, a float prints as its repr,
+    an exact or mp zero as 0.0, another int or Fraction as its exact string, and an mp
+    value with `digits` significant digits, trailing zeros kept."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, float):
+        return repr(x)
+    if x == 0:
+        return "0.0"
+    if isinstance(x, (int, Fraction)):
+        return str(x)
+    return mpmath.nstr(x, digits, strip_zeros=False)
 
 
 def memo(fn):

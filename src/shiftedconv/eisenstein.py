@@ -77,7 +77,8 @@ def cusp_count(N: int) -> int:
 
 
 def enumerate_cusps(N: int) -> tuple:
-    """Inequivalent cusp representatives of Gamma0(N), infinity first."""
+    """Inequivalent cusp representatives of Gamma0(N), infinity first; ArithmeticError if
+    they are not `cusp_count(N)` many."""
     cusps = [Cusp(1, 0, 1)]
     for c in (c for c in range(1, N) if N % c == 0):
         g = gcd(c, N // c)
@@ -89,7 +90,8 @@ def enumerate_cusps(N: int) -> tuple:
             while gcd(a, c) != 1:
                 a += g
             cusps.append(Cusp(a % c if c > 1 else 0, c, width))
-    assert len(cusps) == cusp_count(N), f"cusp enumeration mismatch at level {N}"
+    if len(cusps) != cusp_count(N):
+        raise ArithmeticError(f"level {N}: {len(cusps)} cusps enumerated, {cusp_count(N)} expected")
     return tuple(cusps)
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from math import inf, pi
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import Estimate
 from .curves import SUPPORTED_CONDUCTORS
 from .newform import _smallest_prime_factors
 
@@ -270,11 +271,6 @@ def _bessel_array(x: np.ndarray, sign: int) -> np.ndarray:
     return values
 
 
-class CoefficientSum(NamedTuple):
-    value: float
-    tail_estimate: float
-
-
 def _c_series(ns: Sequence[int], N: int, c_max: int, sign: int):
     """Sum the c-terms of b_P (sign -1) or b_Q (sign 1) over c = N, 2N, ... <= c_max.
 
@@ -311,13 +307,13 @@ def _sum_in_order(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] if len(a) else np.zeros(a.shape[1])
 
 
-def bp_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
+def bp_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[Estimate]:
     """Fourier coefficients b_P(1, 2, N; n), n in `ns`, of the weight-2 Poincare series of index 1.
 
     sqrt(n) (delta_{1n} - 2 pi sum_{N | c <= c_max} J_1(4 pi sqrt(n)/c) K(1,n;c)/c)
 
     in the classical Petersson normalization, one entry per index; N is one of the
-    ten levels.  Each modulus c is visited once for all n.  The tail estimate is the
+    ten levels.  Each modulus c is visited once for all n.  The error is the
     accumulated magnitude of the last decade of c-terms.
     """
     if any(n < 1 for n in ns):
@@ -327,11 +323,11 @@ def bp_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum
     for n, total, tail in zip(ns, totals, tails):
         front = n ** 0.5
         value = front * ((1.0 if n == 1 else 0.0) - 2 * np.pi * total)
-        out.append(CoefficientSum(value, front * 2 * np.pi * tail))
+        out.append(Estimate(value, front * 2 * np.pi * tail))
     return out
 
 
-def bq_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum]:
+def bq_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[Estimate]:
     """Fourier coefficients b_Q(-1, 2, N; n), n in `ns`, of the weight-2 Maass-Poincare series
     of index -1.
 
@@ -339,6 +335,7 @@ def bq_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum
     n == 0:  4 pi^2 sum_{N|c} K(-1, 0; c)/c^2
 
     One entry per index, N one of the ten levels; each modulus c is visited once for all n.
+    The error is taken as in `bp_coefficient`.
     """
     if any(n < 0 for n in ns):
         raise ValueError("indices must be nonnegative")
@@ -346,5 +343,5 @@ def bq_coefficient(N: int, ns: Sequence[int], c_max: int) -> list[CoefficientSum
     out = []
     for n, total, tail in zip(ns, totals, tails):
         front = 4 * pi ** 2 if n == 0 else 2 * np.pi * (1 / n) ** 0.5
-        out.append(CoefficientSum(front * total, front * tail))
+        out.append(Estimate(front * total, front * tail))
     return out

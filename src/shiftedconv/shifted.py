@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpf
 
-from .config import memo
+from .config import Estimate, memo
 from .curves import EllipticCurveModel
 from .eisenstein import indicator_basis, infinity_indicator
 from .lattice import build_lattice
@@ -22,14 +22,6 @@ def support_modulus(N: int):
 
 
 @dataclass
-class DirectValue:
-    value: float           # Cesaro average of the last decade of partial sums
-    raw_partial: float     # plain partial sum at n_terms
-    error_estimate: float  # spread of the averaging window
-    n_terms: int
-
-
-@dataclass
 class ShiftedConvolutionTable:
     label: str
     method: str                      # "direct" | "closed-form"
@@ -38,17 +30,17 @@ class ShiftedConvolutionTable:
     metadata: dict = field(default_factory=dict)
 
 
-def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> DirectValue:
+def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> Estimate:
     """Partial sums of the shifted convolution sum, Cesaro-smoothed.
 
     Terms are a(n+h) a(n) (1/n - 1/(n+h)); this weight ordering is the one
     consistent with the closed-form identity and with the reference values (the
     opposite ordering appears in some displays of the series but contradicts them).
 
-    The series converges only conditionally, so the reported value averages the
-    partial sums over the last decade [n_terms/10, n_terms]; the raw partial sum is
-    kept alongside.  When the two coefficient supports are incompatible every term
-    vanishes and the result is exactly zero.
+    The series converges only conditionally, so the value is the mean of the partial
+    sums over the last decade [n_terms/10, n_terms] and the error half their spread.
+    When the two coefficient supports are incompatible every term vanishes and the
+    result is exactly zero.
     """
     if h < 1:
         raise ValueError("shift must be positive")
@@ -61,22 +53,17 @@ def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> DirectValue:
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     prod = a[n + h] * a[n]
     if not prod.any():
-        return DirectValue(0.0, 0.0, 0.0, n_terms)
-    terms = prod * (1.0 / n - 1.0 / (n + h))
-    partials = np.cumsum(terms)
-    window = partials[n_terms // 10 - 1:]
-    value = float(window.mean())
-    err = float((window.max() - window.min()) / 2)
-    return DirectValue(value, float(partials[-1]), err, n_terms)
+        return Estimate(0.0, 0.0)
+    window = np.cumsum(prod * (1.0 / n - 1.0 / (n + h)))[n_terms // 10 - 1:]
+    return Estimate(float(window.mean()), float((window.max() - window.min()) / 2))
 
 
 def d_direct_table(model: EllipticCurveModel, h_max: int, n_terms: int) -> ShiftedConvolutionTable:
     tab = ShiftedConvolutionTable(model.label, "direct",
                                   metadata={"n_terms": n_terms, "smoothing": "cesaro-last-decade"})
     for h in range(1, h_max + 1):
-        dv = d_direct(model, h, n_terms)
-        tab.entries[h] = dv.value
-        tab.errors[h] = dv.error_estimate
+        est = d_direct(model, h, n_terms)
+        tab.entries[h], tab.errors[h] = est.value, est.err
     return tab
 
 

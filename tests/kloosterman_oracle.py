@@ -23,7 +23,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from shiftedconv.newform import _factors
-from shiftedconv.poincare import CoefficientSum, _bessel_series
+from shiftedconv.config import Estimate
+from shiftedconv.poincare import _bessel_series
 
 _TWO_PI = 2 * np.pi
 
@@ -123,7 +124,7 @@ def kloosterman_float(m: int, n: int, c: int) -> float:
     return float(np.cos(ang).sum())
 
 
-def bp_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
+def bp_per_n(N: int, n: int, c_max: int) -> Estimate:
     """b_P(1, 2, N; n) as `poincare.bp_coefficient` defines it, one c-term at a time."""
     front = n ** 0.5
     arg0 = 4 * np.pi * np.sqrt(n)
@@ -135,10 +136,10 @@ def bp_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
         if c > 0.9 * c_max:
             tail += abs(term)
     value = front * ((1.0 if n == 1 else 0.0) - 2 * np.pi * total)
-    return CoefficientSum(value, front * 2 * np.pi * tail)
+    return Estimate(value, front * 2 * np.pi * tail)
 
 
-def bq_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
+def bq_per_n(N: int, n: int, c_max: int) -> Estimate:
     """b_Q(-1, 2, N; n) as `poincare.bq_coefficient` defines it, one c-term at a time."""
     total = 0.0
     tail = 0.0
@@ -149,7 +150,7 @@ def bq_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
             total += term
             if c > 0.9 * c_max:
                 tail += abs(term)
-        return CoefficientSum(front * total, front * tail)
+        return Estimate(front * total, front * tail)
     front = 2 * np.pi * (1 / n) ** 0.5
     arg0 = 4 * np.pi * np.sqrt(n)
     for c in range(N, c_max + 1, N):
@@ -157,4 +158,4 @@ def bq_per_n(N: int, n: int, c_max: int) -> CoefficientSum:
         total += term
         if c > 0.9 * c_max:
             tail += abs(term)
-    return CoefficientSum(front * total, front * tail)
+    return Estimate(front * total, front * tail)

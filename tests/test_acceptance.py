@@ -170,10 +170,3 @@ def test_criterion_12_n49_experiment_report():
     result = _run(V.check_n49_experiment)
     assert result.passed  # report-only: must be produced, values not gated
     assert "alpha_fitted" in result.details
-
-
-def test_details_print_every_zero_as_0_0():
-    from fractions import Fraction
-    from mpmath import mpf
-    assert V._str(0) == V._str(Fraction(0)) == V._str(mpf(0)) == "0.0"
-    assert (V._str(-15), V._str(Fraction(1, 5))) == ("-15", "1/5")

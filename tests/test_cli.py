@@ -10,7 +10,8 @@ from mpmath import mp
 
 import shiftedconv
 import shiftedconv.cli as cli
-from shiftedconv.cli import COMMANDS, _nstr, build_parser, main
+from shiftedconv.cli import COMMANDS, build_parser, main
+from shiftedconv.config import fmt
 from shiftedconv.eisenstein import basis_for_level
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
@@ -55,10 +56,17 @@ def test_lattice_json_prints_the_s_of_the_closed_form(capsys, label, s):
     assert code == 0 and json.loads(out)["S"] == s
 
 
-def test_nstr_converts_exact_values_at_the_requested_digits():
-    assert _nstr(Fraction(1, 5), 64) == "0.2" + "0" * 63
-    assert _nstr(Fraction(-2, 3), 40) == "-0." + "6" * 39 + "7"
-    assert _nstr(0, 64) == _nstr(Fraction(0), 64) == _nstr(mp.mpf(0), 64) == "0.0"
+def test_one_print_rule():
+    """`fmt` is the one print rule of the CLI and `verify`; the decimal S of a CM level is
+    pinned by test_lattice_json_prints_the_s_of_the_closed_form."""
+    assert fmt(0, 64) == fmt(Fraction(0), 64) == fmt(mp.mpf(0), 64) == fmt(0.0, 3) == "0.0"
+    assert (fmt(-15, 3), fmt(Fraction(1, 5), 64)) == ("-15", "1/5")
+    assert fmt(0.1 + 0.2, 3) == "0.30000000000000004"
+    assert fmt(mp.mpf(1) / 4, 8) == "0.25000000"           # trailing zeros kept
+    with mp.workdps(50):
+        third = mp.mpf(1) / 3
+    assert fmt(third, 40) == "0." + "3" * 40              # the caller's digits, not mp.dps
+    assert fmt("report-only", 3) == "report-only"
 
 
 def test_mockform_text(capsys):

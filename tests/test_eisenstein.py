@@ -56,6 +56,14 @@ def test_cusp_counts(N):
         seen.add((c.a, c.c))
 
 
+def test_enumerate_cusps_raises_on_a_wrong_count(monkeypatch):
+    """The count check is an ArithmeticError, which `python -O` keeps (check 10d relies on it)."""
+    import shiftedconv.eisenstein as eisenstein
+    monkeypatch.setattr(eisenstein, "cusp_count", lambda N: EXPECTED_COUNTS[N] + 1)
+    with pytest.raises(ArithmeticError, match="level 11: 2 cusps enumerated, 3 expected"):
+        enumerate_cusps(11)
+
+
 # [SL2(Z) : Gamma0(N)] = N prod_{p | N} (1 + 1/p)
 GAMMA0_INDEX = {11: 12, 14: 24, 15: 24, 17: 18, 19: 20, 21: 32, 27: 36, 32: 48, 36: 72, 49: 56}
 

@@ -101,7 +101,7 @@ def test_factored_kloosterman_matches_listing():
 def test_one_pass_matches_per_n_oracle(N):
     # the two paths round K(m, n; c) differently, by about 1e-15 in b_P and b_Q
     def close(got, want):
-        return all(abs(g.value - w.value) < 1e-12 and abs(g.tail_estimate - w.tail_estimate) < 1e-12
+        return all(abs(g.value - w.value) < 1e-12 and abs(g.err - w.err) < 1e-12
                    for g, w in zip(got, want, strict=True))
     ns = range(1, 11)
     assert close(bp_coefficient(N, ns, 2000), [bp_per_n(N, n, 2000) for n in ns])
@@ -242,7 +242,7 @@ def test_coefficients_match_per_element_bessel(monkeypatch):
     slow = run()
     for N, got, want in zip(_LEVELS, fast, slow):
         for g, w in zip([*got[0], *got[1]], [*want[0], *want[1]], strict=True):
-            assert abs(g.value - w.value) <= 1e-13 and abs(g.tail_estimate - w.tail_estimate) <= 1e-13, N
+            assert abs(g.value - w.value) <= 1e-13 and abs(g.err - w.err) <= 1e-13, N
 
 
 def test_long_call_equals_its_blockwise_calls():
@@ -288,8 +288,8 @@ def test_bq_matches_mock_form_coefficients():
 
 def test_bp_tail_estimate_reported():
     r = bp_coefficient(11, [2], 2000)[0]
-    assert r.tail_estimate > 0
-    assert r.tail_estimate < 1e-2
+    assert r.err > 0
+    assert r.err < 1e-2
 
 
 def test_petersson_reconstruction_small():
