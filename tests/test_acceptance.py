@@ -170,3 +170,10 @@ def test_criterion_12_n49_experiment_report():
     result = _run(V.check_n49_experiment)
     assert result.passed  # report-only: must be produced, values not gated
     assert "alpha_fitted" in result.details
+
+
+def test_details_print_every_zero_as_0_0():
+    from fractions import Fraction
+    from mpmath import mpf
+    assert V.fmt(0, 3) == V.fmt(Fraction(0), 3) == V.fmt(mpf(0), 3) == "0.0"
+    assert (V.fmt(-15, 3), V.fmt(Fraction(1, 5), 3)) == ("-15", "1/5")

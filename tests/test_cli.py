@@ -56,11 +56,21 @@ def test_lattice_json_prints_the_s_of_the_closed_form(capsys, label, s):
     assert code == 0 and json.loads(out)["S"] == s
 
 
+def test_nstr_converts_exact_values_at_the_requested_digits():
+    """An exact value the CLI prints as a decimal (the S of `lattice`) is converted at the
+    requested digits, then printed by `fmt` at those digits."""
+    def decimal(x, digits):
+        with mp.workdps(digits):
+            return fmt(mp.mpmathify(x), digits)
+    assert decimal(Fraction(1, 5), 64) == "0.2" + "0" * 63
+    assert decimal(Fraction(-2, 3), 40) == "-0." + "6" * 39 + "7"
+    assert decimal(0, 64) == decimal(Fraction(0), 64) == fmt(mp.mpf(0), 64) == "0.0"
+
+
 def test_one_print_rule():
     """`fmt` is the one print rule of the CLI and `verify`; the decimal S of a CM level is
     pinned by test_lattice_json_prints_the_s_of_the_closed_form."""
     assert fmt(0, 64) == fmt(Fraction(0), 64) == fmt(mp.mpf(0), 64) == fmt(0.0, 3) == "0.0"
-    assert (fmt(-15, 3), fmt(Fraction(1, 5), 64)) == ("-15", "1/5")
     assert fmt(0.1 + 0.2, 3) == "0.30000000000000004"
     assert fmt(mp.mpf(1) / 4, 8) == "0.25000000"           # trailing zeros kept
     with mp.workdps(50):
