@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 import mpmath
 
@@ -25,27 +26,31 @@ MOCK_LIMIT = 200  # mockform --n-max, lseries --h-max and poincare --n-max.  The
 # form no longer sets it (0.01 s at 14a1 and n_max 200): 200 is the range over which b_Q is
 # compared with Zhat^+, and it bounds the poincare c-sum arrays, which grow as
 # (c_max/N) n_max, to 76 MB RSS at c_max 10^5 (README)
+DIGITS_LIMIT = 1_000  # PrecisionConfig and the lattice need 30; the ceiling bounds time (README)
+
+FLAG = object()  # the parser of an option that takes no value; its default is False
+REQUIRED = object()  # the default of an option a command cannot run without
 
 
-def _integer(lo, hi=None):
-    """An argparse type accepting the integers lo .. hi (no upper limit if hi is None)."""
+def _integer(lo, hi):
+    """The parser of an option's value: an integer lo .. hi, written in decimal."""
     def parse(text):
-        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= (hi or int(text)):
-            limit = f"in {lo} .. {hi}" if hi else f">= {lo}"
-            raise argparse.ArgumentTypeError(f"must be an integer {limit}, got {text!r}")
+        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= hi:
+            raise ValueError(f"must be an integer in {lo} .. {hi}, got {text!r}")
         return int(text)
+    parse.limits = f"an integer in {lo} .. {hi}"
     return parse
 
 
-def _options(sub, *, digits=False, csv_rows=False, label=False):
-    """Give a subcommand --format and only the shared options it reads."""
-    if digits:
-        sub.add_argument("--digits", type=_integer(30), default=64, help="working decimal precision")
-    sub.add_argument("--format", choices=("text", "json", "csv") if csv_rows else ("text", "json"),
-                     default="text")
-    if label:
-        sub.add_argument("--label", choices=LABELS, required=True)
-    return sub
+def _choices(*values):
+    """The parser of an option's value: one of `values`, written as str() writes it."""
+    by_text = {str(v): v for v in values}
+    def parse(text):
+        if text not in by_text:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(by_text)})")
+        return by_text[text]
+    parse.limits = "one of " + ", ".join(by_text)
+    return parse
 
 
 def cmd_curves(args):
@@ -197,78 +202,124 @@ def cmd_verify(args):
     return 1 if n_fail else 0
 
 
-def _add_coeffs(s):
-    s.add_argument("--n-max", type=_integer(1, TERMS_LIMIT), default=50)
+LABEL = _choices(*LABELS)
+LEVEL = _choices(*SUPPORTED_CONDUCTORS)
+DIGITS = _integer(30, DIGITS_LIMIT)
+TEXT_JSON = _choices("text", "json")
+TEXT_JSON_CSV = _choices("text", "json", "csv")
 
-
-def _add_mockform(s):
-    s.add_argument("--n-max", type=_integer(0, MOCK_LIMIT), default=40)
-    s.add_argument("--check-eta", action="store_true")
-
-
-def _add_eisenstein(s):
-    s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--n-max", type=_integer(0, INDICATOR_LIMIT), default=30)
-
-
-def _add_poincare(s):
-    s.add_argument("--level", type=int, choices=SUPPORTED_CONDUCTORS, required=True)
-    s.add_argument("--n-max", type=_integer(1, MOCK_LIMIT), default=10)
-    s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
-    s.add_argument("--maass", action="store_true",
-                   help="b_Q(-1, 2, N; n) of the Maass-Poincare series instead of b_P(1, 2, N; n)")
-
-
-def _add_lseries(s):
-    s.add_argument("--method", choices=("direct", "closed", "both"), default="both")
-    s.add_argument("--h-max", type=_integer(1, MOCK_LIMIT), default=30)
-    s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
-
-
-def _add_verify(s):
-    s.add_argument("--label", choices=LABELS, default=None, help="restrict checks to one curve")
-    s.add_argument("--terms", type=_integer(10, TERMS_LIMIT), default=100_000)
-    s.add_argument("--c-max", type=_integer(1, C_MAX_LIMIT), default=10_000)
-
-
-# name -> (help, command, _options flags, adder of the command's own options)
+# name -> (help, handler, {option: (parser, default)}).  The table holds every option a
+# command reads and no other: parse_args rejects the rest.  A parser is _integer(lo, hi),
+# _choices(...) or FLAG; a default may be REQUIRED.
 COMMANDS = {
-    "curves": ("list the curve registry", cmd_curves, {}, None),
-    "coeffs": ("newform coefficients a(n)", cmd_coeffs, {"csv_rows": True, "label": True},
-               _add_coeffs),
-    "lattice": ("periods, quasi-periods, volume, S", cmd_lattice, {"digits": True, "label": True},
-                None),
-    "mockform": ("Weierstrass mock modular form expansion", cmd_mockform,
-                 {"digits": True, "label": True}, _add_mockform),
-    "eisenstein": ("cusp indicator basis", cmd_eisenstein, {"digits": True}, _add_eisenstein),
-    "poincare": ("Poincare series coefficients", cmd_poincare, {}, _add_poincare),
-    "lseries": ("shifted convolution L-values", cmd_lseries,
-                {"digits": True, "csv_rows": True, "label": True}, _add_lseries),
-    "verify": ("run the acceptance suite", cmd_verify, {"digits": True}, _add_verify),
+    "curves": ("list the curve registry", cmd_curves, {"--format": (TEXT_JSON, "text")}),
+    "coeffs": ("newform coefficients a(n)", cmd_coeffs, {
+        "--label": (LABEL, REQUIRED), "--n-max": (_integer(1, TERMS_LIMIT), 50),
+        "--format": (TEXT_JSON_CSV, "text")}),
+    "lattice": ("periods, quasi-periods, volume, S", cmd_lattice, {
+        "--label": (LABEL, REQUIRED), "--digits": (DIGITS, 64), "--format": (TEXT_JSON, "text")}),
+    "mockform": ("Weierstrass mock modular form expansion", cmd_mockform, {
+        "--label": (LABEL, REQUIRED), "--n-max": (_integer(0, MOCK_LIMIT), 40),
+        "--check-eta": (FLAG, False), "--digits": (DIGITS, 64), "--format": (TEXT_JSON, "text")}),
+    "eisenstein": ("cusp indicator basis", cmd_eisenstein, {
+        "--level": (LEVEL, REQUIRED), "--n-max": (_integer(0, INDICATOR_LIMIT), 30),
+        "--digits": (DIGITS, 64), "--format": (TEXT_JSON, "text")}),
+    "poincare": ("Poincare series coefficients b_P, or b_Q with --maass", cmd_poincare, {
+        "--level": (LEVEL, REQUIRED), "--n-max": (_integer(1, MOCK_LIMIT), 10),
+        "--c-max": (_integer(1, C_MAX_LIMIT), 10_000), "--maass": (FLAG, False),
+        "--format": (TEXT_JSON, "text")}),
+    "lseries": ("shifted convolution L-values", cmd_lseries, {
+        "--label": (LABEL, REQUIRED), "--method": (_choices("direct", "closed", "both"), "both"),
+        "--h-max": (_integer(1, MOCK_LIMIT), 30), "--terms": (_integer(10, TERMS_LIMIT), 100_000),
+        "--digits": (DIGITS, 64), "--format": (TEXT_JSON_CSV, "text")}),
+    "verify": ("run the acceptance suite", cmd_verify, {
+        "--label": (LABEL, None), "--terms": (_integer(10, TERMS_LIMIT), 100_000),
+        "--c-max": (_integer(1, C_MAX_LIMIT), 10_000), "--digits": (DIGITS, 64),
+        "--format": (TEXT_JSON, "text")}),
 }
 
 
-def build_parser(command=None):
-    """The parser of every command, or of `command` alone (the only one a run of it reads)."""
-    p = argparse.ArgumentParser(prog="shiftedconv",
-                                description="Shifted convolution L-values for the ten "
-                                            "genus-one modular elliptic curves")
-    # a one-command parser still names every command in its usage line
-    every = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=every)
-    for name, (help_text, fn, flags, add) in COMMANDS.items():
-        if command in (None, name):
-            s = _options(sub.add_parser(name, help=help_text), **flags)
-            if add:
-                add(s)
-            s.set_defaults(fn=fn)
-    return p
+def _help(name=None):
+    """The help of command `name`: its options with their limits and defaults; with no
+    name, the list of commands."""
+    if name is None:
+        lines = [f"    {cmd:<20}{help_text}" for cmd, (help_text, *_) in COMMANDS.items()]
+        return "\n".join(["usage: shiftedconv <command> [options]", "", "commands:", *lines, "",
+                          "`shiftedconv <command> -h` lists the options of a command."])
+    help_text, _, table = COMMANDS[name]
+    lines = [f"usage: shiftedconv {name} [options]", "", help_text, "",
+             "options (--opt value or --opt=value):"]
+    for opt, (parse, default) in table.items():
+        about = "a flag, takes no value" if parse is FLAG else parse.limits + (
+            " (required)" if default is REQUIRED else
+            " (optional)" if default is None else f" (default {default})")
+        lines.append(f"    {opt:<20}{about}")
+    return "\n".join(lines)
+
+
+def _fail(name, message):
+    """Exit 2 with the usage line and `message` on stderr; `name` is the command, if known."""
+    prog = "shiftedconv" if name is None else f"shiftedconv {name}"
+    print(f"usage: shiftedconv {name or '<command>'} [options]\n{prog}: error: {message}",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv):
+    """The handler of the command argv[0] names, and its options read from argv[1:].
+
+    An option is `--opt value` or `--opt=value`, by its exact name; the last occurrence
+    wins, and a FLAG takes no value.  `-h` or `--help` prints help and exits 0; any
+    input the table does not accept exits 2."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        print(_help())
+        raise SystemExit(0)
+    if name not in COMMANDS:
+        _fail(None, ("a command is required" if name is None else f"invalid choice: {name!r}")
+              + f" (choose from {', '.join(COMMANDS)})")
+    _, handler, table = COMMANDS[name]
+    rest, values = iter(argv[1:]), {}
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            print(_help(name))
+            raise SystemExit(0)
+        opt, eq, text = arg.partition("=")
+        if opt not in table:
+            _fail(name, f"unrecognized argument: {arg}")
+        parse = table[opt][0]
+        if parse is FLAG:
+            if eq:
+                _fail(name, f"argument {opt}: takes no value, got {text!r}")
+            values[opt] = True
+            continue
+        if not eq:
+            text = next(rest, None)
+            if text is None:
+                _fail(name, f"argument {opt}: expected a value")
+        try:
+            values[opt] = parse(text)
+        except ValueError as exc:
+            _fail(name, f"argument {opt}: {exc}")
+    missing = [opt for opt, (_, default) in table.items()
+               if default is REQUIRED and opt not in values]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    return handler, SimpleNamespace(**{opt[2:].replace("-", "_"): values.get(opt, default)
+                                       for opt, (_, default) in table.items()})
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-    return args.fn(args)
+    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    try:
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that flush cannot raise
+        # (the Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from mpmath import mp
 
 import shiftedconv
 import shiftedconv.cli as cli
-from shiftedconv.cli import COMMANDS, build_parser, main
+from shiftedconv.cli import COMMANDS, FLAG, main, parse_args
 from shiftedconv.config import fmt
 from shiftedconv.eisenstein import basis_for_level
 from shiftedconv.lattice import build_lattice
@@ -236,8 +236,8 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["lseries", "--label", "11a1", "--h-max", "0"], "1 .. 200"),
     (["mockform", "--label", "11a1", "--n-max", "-1"], "0 .. 200"),
     (["eisenstein", "--level", "11", "--n-max", "-1"], "0 .. 1000"),
-    (["lattice", "--label", "11a1", "--digits", "10"], ">= 30"),
-    (["verify", "--digits", "29"], ">= 30"),
+    (["lattice", "--label", "11a1", "--digits", "10"], "30 .. 1000"),
+    (["verify", "--digits", "29"], "30 .. 1000"),
     (["lseries", "--label", "11a1", "--h-max", "-1"], "1 .. 200"),
     (["poincare", "--level", "11", "--n-max", "2.5"], "1 .. 200"),
     (["poincare", "--level", "11", "--n-max", "0"], "1 .. 200"),
@@ -248,6 +248,7 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     (["lseries", "--label", "11a1", "--h-max", "1000000"], "1 .. 200"),
     (["poincare", "--level", "11", "--n-max", "201"], "1 .. 200"),
     (["poincare", "--level", "49", "--n-max", "1000000", "--maass"], "1 .. 200"),
+    (["lseries", "--label", "11a1", "--digits", "1001"], "30 .. 1000"),
 ])
 def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -257,24 +258,72 @@ def test_inputs_outside_the_limits_are_rejected(argv, message, capsys):
 
 
 def test_inputs_at_the_limits_are_accepted():
+    def parsed(*argv):
+        return parse_args(list(argv))[1]
     for N in (11, 14, 15, 17, 19, 21, 27, 32, 36, 49):
-        assert build_parser().parse_args(["eisenstein", "--level", str(N)]).level == N
-    args = build_parser().parse_args(["poincare", "--level", "49", "--c-max", "100000"])
+        assert parsed("eisenstein", "--level", str(N)).level == N
+    args = parsed("poincare", "--level", "49", "--c-max", "100000")
     assert (args.level, args.c_max) == (49, 100_000)
-    assert build_parser().parse_args(["poincare", "--level", "11", "--c-max", "1"]).c_max == 1
-    args = build_parser().parse_args(["lseries", "--label", "49a1", "--terms", "10", "--h-max", "1",
-                                      "--digits", "30"])
+    assert parsed("poincare", "--level", "11", "--c-max", "1").c_max == 1
+    args = parsed("lseries", "--label", "49a1", "--terms", "10", "--h-max", "1", "--digits", "30")
     assert (args.label, args.terms, args.h_max, args.digits) == ("49a1", 10, 1, 30)
-    assert build_parser().parse_args(["verify", "--terms", "1000000"]).terms == 1_000_000
-    assert build_parser().parse_args(["coeffs", "--label", "11a1", "--n-max", "1"]).n_max == 1
-    assert build_parser().parse_args(["eisenstein", "--level", "11", "--n-max", "0"]).n_max == 0
-    assert build_parser().parse_args(["mockform", "--label", "11a1", "--n-max", "0"]).n_max == 0
-    assert build_parser().parse_args(["poincare", "--level", "11", "--n-max", "1"]).n_max == 1
-    args = build_parser().parse_args(["poincare", "--level", "11", "--n-max", "200", "--maass"])
+    assert parsed("lattice", "--label", "11a1", "--digits", "1000").digits == 1000
+    assert parsed("verify", "--terms", "1000000").terms == 1_000_000
+    assert parsed("coeffs", "--label", "11a1", "--n-max", "1").n_max == 1
+    assert parsed("eisenstein", "--level", "11", "--n-max", "0").n_max == 0
+    assert parsed("mockform", "--label", "11a1", "--n-max", "0").n_max == 0
+    assert parsed("poincare", "--level", "11", "--n-max", "1").n_max == 1
+    args = parsed("poincare", "--level", "11", "--n-max", "200", "--maass")
     assert (args.n_max, args.maass) == (200, True)
-    assert build_parser().parse_args(["eisenstein", "--level", "49", "--n-max", "1000"]).n_max == 1000
-    assert build_parser().parse_args(["mockform", "--label", "49a1", "--n-max", "200"]).n_max == 200
-    assert build_parser().parse_args(["lseries", "--label", "11a1", "--h-max", "200"]).h_max == 200
+    assert parsed("eisenstein", "--level", "49", "--n-max", "1000").n_max == 1000
+    assert parsed("mockform", "--label", "49a1", "--n-max", "200").n_max == 200
+    assert parsed("lseries", "--label", "11a1", "--h-max", "200").h_max == 200
+
+
+def test_parse_args_reads_the_table():
+    """`--opt=value` equals `--opt value`, the last occurrence wins, and every option the
+    command reads is set, to its default when not given."""
+    handler, args = parse_args(["poincare", "--level=11", "--n-max", "3", "--n-max=4"])
+    assert handler is cli.cmd_poincare
+    assert vars(args) == {"level": 11, "n_max": 4, "c_max": 10_000, "maass": False,
+                          "format": "text"}
+    assert vars(parse_args(["verify"])[1]) == {"label": None, "terms": 100_000, "c_max": 10_000,
+                                               "digits": 64, "format": "text"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poincare", "--level"], "argument --level: expected a value"),
+    (["lattice"], "the following arguments are required: --label"),
+    (["lattice", "--digits", "40"], "the following arguments are required: --label"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "a command is required"),
+    (["poincare", "--level", "11", "--maass=1"], "argument --maass: takes no value"),
+    (["poincare", "--lev", "11"], "unrecognized argument: --lev"),
+    (["poincare", "11"], "unrecognized argument: 11"),
+], ids=["missing-value", "no-label", "no-label-with-digits", "unknown-command", "empty-argv",
+        "flag-with-value", "abbreviation", "positional"])
+def test_parse_args_rejects_with_exit_2_and_a_usage_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    name = argv[0] if argv and argv[0] in COMMANDS else "<command>"
+    assert err.startswith(f"usage: shiftedconv {name} [options]\n")
+    assert message in err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_command_help_names_its_options(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args([name, "--format", "json", "-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: shiftedconv {name} [options]")
+    for opt, (parse, default) in COMMANDS[name][2].items():
+        line = next(line for line in out.splitlines() if line.startswith(f"    {opt} "))
+        if parse is not FLAG:
+            assert parse.limits in line, line
+            assert default is None or str(default) in line or "required" in line, line
 
 
 def _fresh_python(code):
@@ -285,18 +334,30 @@ def _fresh_python(code):
 
 
 def test_imports_stay_lazy_and_help_lists_every_command():
-    """The package loads no verify module and the CLI no csv until a command needs them;
-    the one-command parsers leave the full help as it was."""
+    """The package loads no verify module and the CLI no csv until a command needs them, and
+    a command run loads no argparse, gettext or locale; `-h` lists every command."""
     out = _fresh_python("import sys, shiftedconv; print('shiftedconv.verify' in sys.modules)\n"
-                        "import shiftedconv.cli; print('csv' in sys.modules)")
-    assert out.split() == ["False", "False"]
+                        "import shiftedconv.cli; print('csv' in sys.modules)\n"
+                        "shiftedconv.cli.main(['poincare', '--level', '11', '--n-max', '2',\n"
+                        "                      '--c-max', '50', '--format', 'json'])\n"
+                        "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    assert out.split()[:2] == ["False", "False"]
+    assert out.splitlines()[-1] == "[]"
     help_text = _fresh_python("from shiftedconv.cli import main; main(['-h'])")
     assert len(COMMANDS) == 8
     for name, (help_line, *_) in COMMANDS.items():
         assert f"    {name:<20}{help_line}" in help_text, name
 
 
-@pytest.mark.parametrize("argv", [["lattice", "--label", "11a1"], ["poincare", "--level", "11"],
-                                  ["verify", "--label", "14a1", "--digits", "40"]])
-def test_one_command_parser_reads_like_the_full_one(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+def test_a_closed_stdout_ends_without_a_traceback():
+    """A reader that stops early (`| head -1`) gets exit 1 and no BrokenPipeError trace."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftedconv.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "shiftedconv.cli", "coeffs", "--label", "11a1",
+                             "--n-max", "20000"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "     1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
