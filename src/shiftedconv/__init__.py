@@ -9,7 +9,7 @@ from .newform import an_coefficients, ap_point_count, eichler_integral
 from .poincare import bp_coefficient, bq_coefficient
 from .series import FourierSeries
 from .shifted import (ShiftedConvolutionTable, d_direct, l_series_closed_form,
-                      alpha_constant, hol_projection_hat, support_modulus)
+                      alpha_constant, hol_projection_hat)
 
 __all__ = [
     "Estimate", "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
@@ -20,7 +20,6 @@ __all__ = [
     "bp_coefficient", "bq_coefficient",
     "FourierSeries", "ShiftedConvolutionTable", "d_direct",
     "l_series_closed_form", "alpha_constant", "hol_projection_hat",
-    "support_modulus",
 ]
 
 __version__ = "0.1.0"

@@ -194,9 +194,7 @@ def cmd_verify(args):
                            "runtime_s": round(r.runtime_s, 2)} for r in results], indent=1))
     else:
         for r in results:
-            print(r.line())
-            for k, v in r.details.items():
-                print(f"        {k} = {v}")
+            print(r.report())
     n_fail = sum(not r.passed for r in results)
     print(f"# {len(results) - n_fail}/{len(results)} checks passed", file=sys.stderr)
     return 1 if n_fail else 0

@@ -16,11 +16,6 @@ from .newform import an_array, an_coefficients
 from .series import FourierSeries
 
 
-def support_modulus(N: int):
-    """n0 with a_E(n) supported at 1 mod n0 and D(h;1) at 0 mod n0; None if no such n0."""
-    return {27: 3, 32: 4, 36: 6}.get(N)
-
-
 @dataclass
 class ShiftedConvolutionTable:
     label: str

@@ -1,11 +1,16 @@
-"""The acceptance suite as a callable report, shared by the CLI and the test suite."""
+"""The acceptance suite as a callable report, shared by the CLI and the test suite.
+
+`CHECKS` is the ordered table of checks; `run_check` runs one row and `verify_all` every
+row the curve labels select.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from typing import Callable
 
 from mpmath import mp, mpf, mpc
 
@@ -24,18 +29,71 @@ class CheckResult:
     check_id: str
     description: str
     passed: bool
-    details: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
+    details: dict
+    runtime_s: float
 
-    def line(self) -> str:
+    def report(self) -> str:
+        """The PASS/FAIL line, then one indented line per detail."""
         mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] {self.check_id}: {self.description} ({self.runtime_s:.1f}s)"
+        return "\n".join([f"[{mark}] {self.check_id}: {self.description} ({self.runtime_s:.1f}s)",
+                          *(f"        {k} = {v}" for k, v in self.details.items())])
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the table.  `run(cfg, labels)` returns `(passed, details)`; it runs at
+    `cfg.digits` over the selected labels.  `curves` are the labels that select the row,
+    None for a row that always runs; `bound_s` is the runtime the check must stay under."""
+    check_id: str
+    description: str
+    curves: tuple[str, ...] | None
+    bound_s: float | None
+    run: Callable[[PrecisionConfig, list[str]], tuple[bool, dict]]
+
+
+CHECKS: list[Check] = []
+
+
+def _check(check_id: str, description: str, curves=None, bound_s=None):
+    """Append the decorated function to `CHECKS` as a row; rows run in definition order."""
+    def add(fn):
+        CHECKS.append(Check(check_id, description, curves, bound_s, fn))
+        return fn
+    return add
 
 
 def _labels_subset(labels):
     if labels is None:
         return [m.label for m in load_registry()]
     return list(labels)
+
+
+def selected(labels=None) -> list[Check]:
+    """The rows that `labels` (all curves by default) select, in table order."""
+    sel = set(_labels_subset(labels))
+    return [c for c in CHECKS if c.curves is None or sel.intersection(c.curves)]
+
+
+def run_check(check_id: str, cfg: PrecisionConfig = None, labels=None) -> CheckResult:
+    """Run the check `check_id` over `labels`: the one place that times a check, sets its
+    working precision and applies its runtime bound.  A check the labels do not select
+    raises KeyError."""
+    check = next((c for c in selected(labels) if c.check_id == check_id), None)
+    if check is None:
+        raise KeyError(f"no check {check_id!r} among those selected by labels={labels!r}")
+    cfg = cfg or PrecisionConfig()
+    t0 = time.time()
+    with mp.workdps(cfg.digits):
+        passed, details = check.run(cfg, _labels_subset(labels))
+    rt = time.time() - t0
+    if check.bound_s is not None:
+        passed = passed and rt < check.bound_s
+    return CheckResult(check.check_id, check.description, passed, details, rt)
+
+
+def verify_all(cfg: PrecisionConfig = None, labels=None) -> list[CheckResult]:
+    """Run every acceptance check; `labels` filters the curve-indexed ones."""
+    return [run_check(c.check_id, cfg, labels) for c in selected(labels)]
 
 
 REF_ZHAT11 = ("1.0", "0.9520", "1.547", "0.3493", "1.976", "-2.609")
@@ -49,73 +107,61 @@ REF_CM_RATIONALS = {
 F27_STATED_Q27 = -12  # as tabulated in the reference; an erratum (checks 6b, 6c)
 
 
-def check_newform_regression(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
+@_check("1-newform-27a1", "a(n) of 27a1 matches the reference expansion exactly",
+        ("27a1",), bound_s=1.0)
+def check_newform_regression(cfg, labels):
     f = an_coefficients(get_curve("27a1"), 20)
     want = {1: 1, 4: -2, 7: -1, 13: 5, 16: 4, 19: -7}
     got = {n: f[n] for n in range(1, 21) if f[n]}
-    rt = time.time() - t0
-    ok = got == want and rt < 1.0
-    return CheckResult("1-newform-27a1", "a(n) of 27a1 matches the reference expansion exactly",
-                       ok, {"got": str(got), "runtime_bound_s": "1"}, rt)
+    return got == want, {"got": str(got), "runtime_bound_s": "1"}
 
 
-def check_s_lambda(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        lat = build_lattice(get_curve("11a1"), cfg.digits)
-        dev = abs(lat.s_lambda.real - mpf("0.38124"))
-    rt = time.time() - t0
-    ok = dev <= mpf("5e-5") and rt < 10.0
-    return CheckResult("2-s-lambda-11a1", "S(Lambda) = 0.38124 +- 5e-5",
-                       ok, {"S": fmt(lat.s_lambda.real, 10), "dev": fmt(dev, 3)}, rt)
+@_check("2-s-lambda-11a1", "S(Lambda) = 0.38124 +- 5e-5", ("11a1",), bound_s=10.0)
+def check_s_lambda(cfg, labels):
+    lat = build_lattice(get_curve("11a1"), cfg.digits)
+    dev = abs(lat.s_lambda.real - mpf("0.38124"))
+    return dev <= mpf("5e-5"), {"S": fmt(lat.s_lambda.real, 10), "dev": fmt(dev, 3)}
 
 
-def check_zhat_11(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        z = zhat_plus(get_curve("11a1"), 6, cfg.digits)
-        devs = [abs(z[n] - mpf(REF_ZHAT11[n])) for n in range(6)]
-    ok = max(devs) <= mpf("1e-3")
-    return CheckResult("3-zhat-11a1", "mock form coefficients q^0..q^5 match to 1e-3",
-                       ok, {"worst": fmt(max(devs), 3)}, time.time() - t0)
+@_check("3-zhat-11a1", "mock form coefficients q^0..q^5 match to 1e-3", ("11a1",))
+def check_zhat_11(cfg, labels):
+    z = zhat_plus(get_curve("11a1"), 6, cfg.digits)
+    worst = max(abs(z[n] - mpf(REF_ZHAT11[n])) for n in range(6))
+    return worst <= mpf("1e-3"), {"worst": fmt(worst, 3)}
 
 
-def check_zhat_cm(cfg: PrecisionConfig) -> CheckResult:
+@_check("4-zhat-cm-rationals", "CM mock form coefficients are the reference rationals",
+        ("27a1", "32a1", "36a1"))
+def check_zhat_cm(cfg, labels):
     """Compares Zhat^+[n] = (R - S E)[n] with the reference rationals exactly; S is the
     rational R[1] at these levels."""
-    t0 = time.time()
     worst = 0
     for label, anchors in REF_CM_RATIONALS.items():
         model = get_curve(label)
         r, e = mock_parts(model, 16)
         s = s_value(model, cfg.digits)
         worst = max(worst, *(abs(r[n] - s * e[n] - want) for n, want in anchors))
-    ok = worst == 0
-    return CheckResult("4-zhat-cm-rationals", "CM mock form coefficients are the reference rationals",
-                       ok, {"worst": fmt(worst, 3)}, time.time() - t0)
+    return worst == 0, {"worst": fmt(worst, 3)}
 
 
-def check_eta_derivative(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
+@_check("5-eta-derivative", "q d/dq of the mock form equals the eta quotients (40 coeffs)",
+        ("27a1", "32a1", "36a1"))
+def check_eta_derivative(cfg, labels):
     worst = max(eta_derivative_deviation(get_curve(N), 40, cfg.digits) for N in (27, 32, 36))
-    ok = worst == 0
-    return CheckResult("5-eta-derivative", "q d/dq of the mock form equals the eta quotients (40 coeffs)",
-                       ok, {"worst": fmt(worst, 3)}, time.time() - t0)
+    return worst == 0, {"worst": fmt(worst, 3)}
 
 
-def check_f_infinity_11(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
+@_check("6a-f-infinity-11", "F^inf_{11,2} first seven coefficients", ("11a1",))
+def check_f_infinity_11(cfg, labels):
     f = infinity_indicator(11, 7)
     want = [Fraction(1), Fraction(1, 5), Fraction(3, 5), Fraction(4, 5),
             Fraction(7, 5), Fraction(6, 5), Fraction(12, 5)]
     worst = max(abs(f[n] - w) for n, w in enumerate(want))
-    ok = worst == 0
-    return CheckResult("6a-f-infinity-11", "F^inf_{11,2} first seven coefficients",
-                       ok, {"worst": fmt(worst, 3)}, time.time() - t0)
+    return worst == 0, {"worst": fmt(worst, 3)}
 
 
-def check_f_infinity_27(cfg: PrecisionConfig) -> CheckResult:
+@_check("6b-f-infinity-27", "F^inf_{27,2} anchors 3, 9, -15 at q^9, q^18, q^27", ("27a1",))
+def check_f_infinity_27(cfg, labels):
     """Asserts the exact anchors 3, 9, -15 at q^9, q^18, q^27 of the unique indicator.
 
     Reference tables print -12 at q^27; that value is an erratum.  The indicator is
@@ -125,90 +171,74 @@ def check_f_infinity_27(cfg: PrecisionConfig) -> CheckResult:
     check 6c shows that the closed form built on -12 misses direct summation of
     D(27;1) by 3 vol/pi.
     """
-    t0 = time.time()
     f = infinity_indicator(27, 28)
     devs = {9: abs(f[9] - 3), 18: abs(f[18] - 9), 27: abs(f[27] - (-15))}
-    ok = max(devs.values()) == 0
     details = {("dev_q%d" % n): fmt(d, 3) for n, d in devs.items()}
     details["stated_q27"] = f"{F27_STATED_Q27} (erratum, see 6c)"
-    return CheckResult("6b-f-infinity-27", "F^inf_{27,2} anchors 3, 9, -15 at q^9, q^18, q^27",
-                       ok, details, time.time() - t0)
+    return max(devs.values()) == 0, details
 
 
-def check_f_infinity_27_adjudication(cfg: PrecisionConfig) -> CheckResult:
+@_check("6c-f-infinity-27-adjudication",
+        "closed form built on the computed F^inf matches direct D(27;1); the stated -12 does not",
+        ("27a1",))
+def check_f_infinity_27_adjudication(cfg, labels):
     """Adjudicates the q^27 coefficient of F^inf_27 by direct summation of D(27;1).
 
     The closed form built on the computed coefficient must match the direct sum,
     and the one built on the stated -12, which differs by 3 vol/pi, must miss it
     by at least 100 times that residual.
     """
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        model = get_curve("27a1")
-        tab = l_series_closed_form(model, 27, cfg.digits)
-        dv = d_direct(model, 27, cfg.direct_terms)
-        resid = abs(float(tab.entries[27]) - dv.value)
-        f27 = infinity_indicator(27, 28)[27]
-        vol_pi = build_lattice(model, cfg.digits).volume / mp.pi
-        stated = tab.entries[27] + vol_pi * (f27 - F27_STATED_Q27)
-        resid_stated = abs(float(stated) - dv.value)
-    ok = resid <= 0.02 and resid_stated >= 100 * resid
-    return CheckResult("6c-f-infinity-27-adjudication",
-                       "closed form built on the computed F^inf matches direct D(27;1); "
-                       "the stated -12 does not",
-                       ok, {"F27_computed": fmt(f27, 8), "closed_minus_direct": fmt(resid, 3),
-                            "closed_minus_direct_stated_q27": fmt(resid_stated, 3)},
-                       time.time() - t0)
+    model = get_curve("27a1")
+    tab = l_series_closed_form(model, 27, cfg.digits)
+    dv = d_direct(model, 27, cfg.direct_terms)
+    resid = abs(float(tab.entries[27]) - dv.value)
+    f27 = infinity_indicator(27, 28)[27]
+    vol_pi = build_lattice(model, cfg.digits).volume / mp.pi
+    stated = tab.entries[27] + vol_pi * (f27 - F27_STATED_Q27)
+    resid_stated = abs(float(stated) - dv.value)
+    return (resid <= 0.02 and resid_stated >= 100 * resid,
+            {"F27_computed": fmt(f27, 8), "closed_minus_direct": fmt(resid, 3),
+             "closed_minus_direct_stated_q27": fmt(resid_stated, 3)})
 
 
-def check_theorem_11(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        model = get_curve("11a1")
-        alpha = alpha_constant(model, cfg.direct_terms, cfg.digits)
-        tab = l_series_closed_form(model, 5, cfg.digits, cfg.direct_terms, alpha=alpha)
-        dev_ref = max(abs(tab.entries[h + 1] - mpf(REF_L11_CLOSED[h])) for h in range(5))
-        dev_direct = max(abs(float(tab.entries[h]) - d_direct(model, h, cfg.direct_terms).value)
-                         for h in range(1, 6))
-        dev_alpha = abs(alpha - mpf("0.00159"))
-    rt = time.time() - t0
-    ok = dev_ref <= mpf("3e-3") and dev_direct <= 0.02 and dev_alpha <= mpf("2e-3") and rt < 120
-    return CheckResult("7-theorem-n11", "closed-form L-values at h=1..5 and alpha (N=11)",
-                       ok, {"dev_vs_reference": fmt(dev_ref, 3), "dev_vs_direct": fmt(dev_direct, 3),
-                            "alpha": fmt(alpha, 6), "dev_alpha": fmt(dev_alpha, 3)}, rt)
+@_check("7-theorem-n11", "closed-form L-values at h=1..5 and alpha (N=11)", ("11a1",),
+        bound_s=120.0)
+def check_theorem_11(cfg, labels):
+    model = get_curve("11a1")
+    alpha = alpha_constant(model, cfg.direct_terms, cfg.digits)
+    tab = l_series_closed_form(model, 5, cfg.digits, cfg.direct_terms, alpha=alpha)
+    dev_ref = max(abs(tab.entries[h + 1] - mpf(REF_L11_CLOSED[h])) for h in range(5))
+    dev_direct = max(abs(float(tab.entries[h]) - d_direct(model, h, cfg.direct_terms).value)
+                     for h in range(1, 6))
+    dev_alpha = abs(alpha - mpf("0.00159"))
+    return (dev_ref <= mpf("3e-3") and dev_direct <= 0.02 and dev_alpha <= mpf("2e-3"),
+            {"dev_vs_reference": fmt(dev_ref, 3), "dev_vs_direct": fmt(dev_direct, 3),
+             "alpha": fmt(alpha, 6), "dev_alpha": fmt(dev_alpha, 3)})
 
 
-def check_theorem_27(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        model = get_curve("27a1")
-        tab = l_series_closed_form(model, 30, cfg.digits)
-        off_support = max(abs(tab.entries[h]) for h in range(1, 31) if h % 3)
-        direct_zero = all(d_direct(model, h, 2000).value == 0.0
-                          for h in range(1, 31) if h % 3)
-        resid = max(abs(float(tab.entries[h]) - d_direct(model, h, cfg.direct_terms).value)
-                    for h in (3, 6, 9, 12))
-    ok = off_support == 0 and direct_zero and resid <= 0.02
-    return CheckResult("8-theorem-n27", "CM closed form: vanishing off 3Z, matches direct on 3Z",
-                       ok, {"off_support_max": fmt(off_support, 3),
-                            "direct_exactly_zero": str(direct_zero),
-                            "max_residual_h_3_6_9_12": fmt(resid, 3)}, time.time() - t0)
+@_check("8-theorem-n27", "CM closed form: vanishing off 3Z, matches direct on 3Z", ("27a1",))
+def check_theorem_27(cfg, labels):
+    model = get_curve("27a1")
+    tab = l_series_closed_form(model, 30, cfg.digits)
+    off_support = max(abs(tab.entries[h]) for h in range(1, 31) if h % 3)
+    direct_zero = all(d_direct(model, h, 2000).value == 0.0
+                      for h in range(1, 31) if h % 3)
+    resid = max(abs(float(tab.entries[h]) - d_direct(model, h, cfg.direct_terms).value)
+                for h in (3, 6, 9, 12))
+    return (off_support == 0 and direct_zero and resid <= 0.02,
+            {"off_support_max": fmt(off_support, 3), "direct_exactly_zero": str(direct_zero),
+             "max_residual_h_3_6_9_12": fmt(resid, 3)})
 
 
-def check_poincare(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
-    with mp.workdps(30):
-        model = get_curve("11a1")
-        lat = build_lattice(model, cfg.digits)
-        volpi = float(lat.volume / mp.pi)
+@_check("9-poincare-reconstruction", "(vol/pi) b_P(1,2,11;n) reconstructs a(n) for n <= 10",
+        ("11a1",), bound_s=60.0)
+def check_poincare(cfg, labels):
+    model = get_curve("11a1")
+    volpi = float(build_lattice(model, cfg.digits).volume / mp.pi)
     a = an_array(model, 10)
     bp = bp_coefficient(11, range(1, 11), cfg.kloosterman_c_max)
     worst = max(abs(volpi * r.value - int(a[n])) for n, r in enumerate(bp, start=1))
-    rt = time.time() - t0
-    ok = worst <= 1e-2 and rt < 60
-    return CheckResult("9-poincare-reconstruction",
-                       "(vol/pi) b_P(1,2,11;n) reconstructs a(n) for n <= 10",
-                       ok, {"max_dev": fmt(worst, 12)}, rt)
+    return worst <= 1e-2, {"max_dev": fmt(worst, 12)}
 
 
 def inert_prime(D: int, p: int) -> bool:
@@ -241,22 +271,22 @@ def eta_product_mismatches(a, spec) -> list[int]:
     return [n for n in range(1, len(a)) if a[n] != eta[n]]
 
 
-def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
-    out = []
-    labels = _labels_subset(labels)
-    # Legendre relation
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        worst = mpf(0)
-        for lab in labels:
-            lat = build_lattice(get_curve(lab), cfg.digits)
-            worst = max(worst, abs(lat.omega1 * lat.eta2 - lat.omega2 * lat.eta1
-                                   + 2 * mp.pi * mpc(0, 1)))
-    out.append(CheckResult("10a-legendre", "Legendre relation residual <= 1e-50 (all lattices)",
-                           worst <= mpf("1e-50"), {"worst": fmt(worst, 3)}, time.time() - t0))
-    # Hasse bound, on the a(p) of the table 10c checks; the point count enforces it, the
-    # CM and eta-product conditions are independent of it
-    t0 = time.time()
+@_check("10a-legendre", "Legendre relation residual <= 1e-50 (all lattices)")
+def check_legendre(cfg, labels):
+    worst = mpf(0)
+    for lab in labels:
+        lat = build_lattice(get_curve(lab), cfg.digits)
+        worst = max(worst, abs(lat.omega1 * lat.eta2 - lat.omega2 * lat.eta1
+                               + 2 * mp.pi * mpc(0, 1)))
+    return worst <= mpf("1e-50"), {"worst": fmt(worst, 3)}
+
+
+@_check("10b-hasse", "|a_p| <= 2 sqrt(p) for good p <= 1e4 (all curves); a_p = 0 exactly at "
+        "the inert p (CM curves); a(n) equals the eta-product newform for n <= 1e4 "
+        "(11, 14, 15, 27, 32, 36)")
+def check_hasse(cfg, labels):
+    """The Hasse bound, on the a(p) of the table 10c checks; the point count enforces it,
+    the CM and eta-product conditions are independent of it."""
     ok, details = True, {}
     spf = _smallest_prime_factors(10_000).tolist()
     for lab in labels:
@@ -278,32 +308,37 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
                          else "eta product equal for n <= 10000")
         if notes:
             details[lab] = "; ".join(notes)
-    out.append(CheckResult("10b-hasse", "|a_p| <= 2 sqrt(p) for good p <= 1e4 (all curves); "
-                           "a_p = 0 exactly at the inert p (CM curves); a(n) equals the "
-                           "eta-product newform for n <= 1e4 (11, 14, 15, 27, 32, 36)",
-                           ok, details, time.time() - t0))
-    # multiplicativity over every coprime pair with m <= n, mn <= 1e4
-    t0 = time.time()
-    ok = True
-    bad = ""
+    return ok, details
+
+
+@_check("10c-multiplicativity", "a(mn) = a(m) a(n) for coprime mn <= 1e4")
+def check_multiplicativity(cfg, labels):
+    """Every coprime pair with m <= n, mn <= 1e4."""
+    ok, bad = True, ""
     for lab in labels:
         a = an_array(get_curve(lab), 10_000)
         for m in range(2, 101):
             for n in range(m, 10_000 // m + 1):
                 if gcd(m, n) == 1 and a[m * n] != a[m] * a[n]:
                     ok, bad = False, f"{lab}: ({m},{n})"
-    out.append(CheckResult("10c-multiplicativity", "a(mn) = a(m) a(n) for coprime mn <= 1e4",
-                           ok, {"first_failure": bad} if bad else {}, time.time() - t0))
-    # cusp widths (enumerate_cusps raises on a wrong count): they sum to the index of Gamma0(N)
-    t0 = time.time()
-    ok = all(sum(c.width for c in enumerate_cusps(N)) == N * prod(1 + Fraction(1, p) for p, _ in _factors(N))
-             for N in {get_curve(lab).conductor for lab in labels})
-    out.append(CheckResult("10d-cusp-counts", "cusp widths sum to the index N prod (1 + 1/p) of Gamma0(N)",
-                           ok, {}, time.time() - t0))
-    # indicator delta property, exactly over Q(zeta_N): `combos` inverts the matrix `values`
-    # of cusp values; whether `values` are the orbits' true cusp values is for
-    # tests/test_eisenstein.py::test_cusp_constant_matches_per_vector_oracle
-    t0 = time.time()
+    return ok, {"first_failure": bad} if bad else {}
+
+
+@_check("10d-cusp-counts", "cusp widths sum to the index N prod (1 + 1/p) of Gamma0(N)")
+def check_cusp_counts(cfg, labels):
+    """`enumerate_cusps` raises on a wrong count; the widths must sum to the index."""
+    return all(sum(c.width for c in enumerate_cusps(N))
+               == N * prod(1 + Fraction(1, p) for p, _ in _factors(N))
+               for N in {get_curve(lab).conductor for lab in labels}), {}
+
+
+@_check("10e-indicator-delta", "`combos` inverts `values` exactly over Q(zeta_N), and no more: "
+        "`values` itself is tested by "
+        "tests/test_eisenstein.py::test_cusp_constant_matches_per_vector_oracle")
+def check_indicator_delta(cfg, labels):
+    """The indicator delta property, exactly over Q(zeta_N): `combos` inverts the matrix
+    `values` of cusp values; whether `values` are the orbits' true cusp values is for
+    tests/test_eisenstein.py::test_cusp_constant_matches_per_vector_oracle."""
     bad, pairs = [], 0
     for N in sorted({get_curve(lab).conductor for lab in labels}):
         eb = basis_for_level(N)
@@ -312,85 +347,35 @@ def check_properties(cfg: PrecisionConfig, labels=None) -> list[CheckResult]:
                 pairs += 1
                 if value != [int(i == j)] + [0] * (len(value) - 1):
                     bad.append(f"level {N}: F^({eb.cusps[i]}) at {eb.cusps[j]}")
-    out.append(CheckResult("10e-indicator-delta", "`combos` inverts `values` exactly over "
-                           "Q(zeta_N), and no more: `values` itself is tested by "
-                           "tests/test_eisenstein.py::test_cusp_constant_matches_per_vector_oracle",
-                           not bad,
-                           {"pairs": str(pairs), **({"first_failure": bad[0]} if bad else {})},
-                           time.time() - t0))
-    return out
+    return not bad, {"pairs": str(pairs), **({"first_failure": bad[0]} if bad else {})}
 
 
-def check_beta_vanishing(cfg: PrecisionConfig) -> CheckResult:
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        worst = mpf(0)
-        for lab in ("11a1", "27a1"):
-            model = get_curve(lab)
-            _, betas = beta_fit(model, 30, cfg.digits, n_terms_for_d=cfg.direct_terms)
-            for cusp, b in betas.items():
-                dev = abs(b - 1) if cusp.is_infinity else abs(b)
-                worst = max(worst, dev)
-    ok = worst <= mpf("1e-6")
-    return CheckResult("11-beta-vanishing", "least-squares fit recovers beta_inf = 1, others 0",
-                       ok, {"worst": fmt(worst, 3)}, time.time() - t0)
+@_check("11-beta-vanishing", "least-squares fit recovers beta_inf = 1, others 0",
+        ("11a1", "27a1"))
+def check_beta_vanishing(cfg, labels):
+    worst = mpf(0)
+    for lab in ("11a1", "27a1"):
+        _, betas = beta_fit(get_curve(lab), 30, cfg.digits, n_terms_for_d=cfg.direct_terms)
+        for cusp, b in betas.items():
+            worst = max(worst, abs(b - 1) if cusp.is_infinity else abs(b))
+    return worst <= mpf("1e-6"), {"worst": fmt(worst, 3)}
 
 
-def check_n49_experiment(cfg: PrecisionConfig) -> CheckResult:
+@_check("12-n49-experiment", "N=49: fitted alpha and closed-vs-direct residuals", ("49a1",))
+def check_n49_experiment(cfg, labels):
     """Non-gating: reports the fitted alpha and the closed-vs-direct residuals."""
-    t0 = time.time()
-    with mp.workdps(cfg.digits):
-        model = get_curve("49a1")
-        af = alpha_fitted(model, cfg.direct_terms, cfg.digits)
-        tab0 = l_series_closed_form(model, 12, cfg.digits, alpha=mpf(0))
-        tabf = l_series_closed_form(model, 12, cfg.digits, alpha=af)
-        resid0, residf = 0.0, 0.0
-        direct_err = 0.0
-        for h in range(1, 13):
-            dv = d_direct(model, h, cfg.direct_terms)
-            resid0 = max(resid0, abs(float(tab0.entries[h]) - dv.value))
-            residf = max(residf, abs(float(tabf.entries[h]) - dv.value))
-            direct_err = max(direct_err, dv.err)
-    details = {"alpha_fitted": fmt(af, 6),
-               "max_residual_alpha_zero": fmt(resid0, 12),
-               "max_residual_alpha_fitted": fmt(residf, 12),
-               "max_direct_error_estimate": fmt(direct_err, 12),
-               "gating": "report-only"}
-    return CheckResult("12-n49-experiment", "N=49: fitted alpha and closed-vs-direct residuals",
-                       True, details, time.time() - t0)
-
-
-def verify_all(cfg: PrecisionConfig = None, labels=None) -> list[CheckResult]:
-    """Run every acceptance check; `labels` filters the curve-indexed ones."""
-    cfg = cfg or PrecisionConfig()
-    sel = set(_labels_subset(labels))
-
-    def want(*labs):
-        return any(l in sel for l in labs)
-
-    results = []
-    if want("27a1"):
-        results.append(check_newform_regression(cfg))
-    if want("11a1"):
-        results.append(check_s_lambda(cfg))
-        results.append(check_zhat_11(cfg))
-    if want("27a1", "32a1", "36a1"):
-        results.append(check_zhat_cm(cfg))
-        results.append(check_eta_derivative(cfg))
-    if want("11a1"):
-        results.append(check_f_infinity_11(cfg))
-    if want("27a1"):
-        results.append(check_f_infinity_27(cfg))
-        results.append(check_f_infinity_27_adjudication(cfg))
-    if want("11a1"):
-        results.append(check_theorem_11(cfg))
-    if want("27a1"):
-        results.append(check_theorem_27(cfg))
-    if want("11a1"):
-        results.append(check_poincare(cfg))
-    results.extend(check_properties(cfg, labels))
-    if want("11a1", "27a1"):
-        results.append(check_beta_vanishing(cfg))
-    if want("49a1"):
-        results.append(check_n49_experiment(cfg))
-    return results
+    model = get_curve("49a1")
+    af = alpha_fitted(model, cfg.direct_terms, cfg.digits)
+    tab0 = l_series_closed_form(model, 12, cfg.digits, alpha=mpf(0))
+    tabf = l_series_closed_form(model, 12, cfg.digits, alpha=af)
+    resid0, residf, direct_err = 0.0, 0.0, 0.0
+    for h in range(1, 13):
+        dv = d_direct(model, h, cfg.direct_terms)
+        resid0 = max(resid0, abs(float(tab0.entries[h]) - dv.value))
+        residf = max(residf, abs(float(tabf.entries[h]) - dv.value))
+        direct_err = max(direct_err, dv.err)
+    return True, {"alpha_fitted": fmt(af, 6),
+                  "max_residual_alpha_zero": fmt(resid0, 12),
+                  "max_residual_alpha_fitted": fmt(residf, 12),
+                  "max_direct_error_estimate": fmt(direct_err, 12),
+                  "gating": "report-only"}

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 
 from shiftedconv.config import PrecisionConfig
-from shiftedconv.curves import get_curve
+from shiftedconv.curves import LABELS, get_curve
 from shiftedconv.shifted import d_direct, l_series_closed_form
 from shiftedconv import verify as V
 
@@ -23,41 +23,39 @@ def _dps():
         yield
 
 
-def _run(check, *args):
-    result = check(CFG, *args)
+def _run(check_id):
+    result = V.run_check(check_id, CFG)
     print()
-    print(result.line())
-    for k, v in result.details.items():
-        print(f"        {k} = {v}")
+    print(result.report())
     return result
 
 
 def test_criterion_01_newform_regression():
-    assert _run(V.check_newform_regression).passed
+    assert _run("1-newform-27a1").passed
 
 
 def test_criterion_02_s_lambda():
-    assert _run(V.check_s_lambda).passed
+    assert _run("2-s-lambda-11a1").passed
 
 
 def test_criterion_03_zhat_11():
-    assert _run(V.check_zhat_11).passed
+    assert _run("3-zhat-11a1").passed
 
 
 def test_criterion_04_zhat_cm_rationals():
-    assert _run(V.check_zhat_cm).passed
+    assert _run("4-zhat-cm-rationals").passed
 
 
 def test_criterion_05_eta_derivative():
-    assert _run(V.check_eta_derivative).passed
+    assert _run("5-eta-derivative").passed
 
 
 def test_criterion_06a_f_infinity_11():
-    assert _run(V.check_f_infinity_11).passed
+    assert _run("6a-f-infinity-11").passed
 
 
 def test_criterion_06b_f_infinity_27_as_stated():
-    result = _run(V.check_f_infinity_27)
+    result = _run("6b-f-infinity-27")
     assert result.passed, (
         "F^inf_{27,2} must carry 3, 9, -15 at q^9, q^18, q^27, the coefficients "
         "of -(1/8) E2(9z) + (9/8) E2(27z); the tabulated -12 at q^27 is an "
@@ -65,11 +63,11 @@ def test_criterion_06b_f_infinity_27_as_stated():
 
 
 def test_criterion_06c_f_infinity_27_adjudication():
-    assert _run(V.check_f_infinity_27_adjudication).passed
+    assert _run("6c-f-infinity-27-adjudication").passed
 
 
 def test_criterion_07_theorem_n11():
-    assert _run(V.check_theorem_11).passed
+    assert _run("7-theorem-n11").passed
 
 
 def test_criterion_07b_squarefree_sweep():
@@ -88,7 +86,7 @@ def test_criterion_07b_squarefree_sweep():
 
 
 def test_criterion_08_theorem_n27():
-    assert _run(V.check_theorem_27).passed
+    assert _run("8-theorem-n27").passed
 
 
 def test_criterion_08b_cm_sweep_32_36():
@@ -106,19 +104,15 @@ def test_criterion_08b_cm_sweep_32_36():
 
 
 def test_criterion_09_poincare_reconstruction():
-    assert _run(V.check_poincare).passed
+    assert _run("9-poincare-reconstruction").passed
 
 
 def test_criterion_10_property_suite():
-    results = V.check_properties(CFG)
+    results = [V.run_check(c.check_id, CFG) for c in V.CHECKS if c.check_id.startswith("10")]
     print()
-    ok = True
     for r in results:
-        print(r.line())
-        for k, v in r.details.items():
-            print(f"        {k} = {v}")
-        ok = ok and r.passed
-    assert ok
+        print(r.report())
+    assert len(results) == 5 and all(r.passed for r in results)
 
 
 def test_criterion_10b_cm_condition_can_fail():
@@ -139,7 +133,7 @@ def test_criterion_10b_eta_condition_can_fail(monkeypatch):
     a[9973] += 2 if a[9973] <= 0 else -2          # 9973 is prime; still within 2 sqrt(p)
     assert V.eta_product_mismatches(a, V.ETA_PRODUCTS[11]) == [9973]
     monkeypatch.setattr(V, "an_array", lambda model, n_max: a[:n_max + 1])
-    hasse = next(r for r in V.check_properties(CFG, ["11a1"]) if r.check_id == "10b-hasse")
+    hasse = V.run_check("10b-hasse", CFG, ["11a1"])
     assert not hasse.passed
     assert hasse.details["11a1"] == "eta product mismatch at [9973]"
 
@@ -157,17 +151,17 @@ def test_criterion_10e_indicator_delta_can_fail(monkeypatch):
     bumped[0] += 1
     broken.combos[1] = (scale, {**w, i: bumped})
     monkeypatch.setattr(V, "basis_for_level", lambda N: broken)
-    delta = next(r for r in V.check_properties(CFG, ["27a1"]) if r.check_id == "10e-indicator-delta")
+    delta = V.run_check("10e-indicator-delta", CFG, ["27a1"])
     assert not delta.passed
     assert delta.details["first_failure"].startswith(f"level 27: F^({eb.cusps[1]}) at ")
 
 
 def test_criterion_11_beta_vanishing():
-    assert _run(V.check_beta_vanishing).passed
+    assert _run("11-beta-vanishing").passed
 
 
 def test_criterion_12_n49_experiment_report():
-    result = _run(V.check_n49_experiment)
+    result = _run("12-n49-experiment")
     assert result.passed  # report-only: must be produced, values not gated
     assert "alpha_fitted" in result.details
 
@@ -177,3 +171,39 @@ def test_details_print_every_zero_as_0_0():
     from mpmath import mpf
     assert V.fmt(0, 3) == V.fmt(Fraction(0), 3) == V.fmt(mpf(0), 3) == "0.0"
     assert (V.fmt(-15, 3), V.fmt(Fraction(1, 5), 3)) == ("-15", "1/5")
+
+
+ALL_IDS = ["1-newform-27a1", "2-s-lambda-11a1", "3-zhat-11a1", "4-zhat-cm-rationals",
+           "5-eta-derivative", "6a-f-infinity-11", "6b-f-infinity-27",
+           "6c-f-infinity-27-adjudication", "7-theorem-n11", "8-theorem-n27",
+           "9-poincare-reconstruction", "10a-legendre", "10b-hasse", "10c-multiplicativity",
+           "10d-cusp-counts", "10e-indicator-delta", "11-beta-vanishing", "12-n49-experiment"]
+PROPERTY_IDS = ALL_IDS[11:16]
+# the checks each label selects beyond the property checks, which every label selects
+LABEL_IDS = {
+    "11a1": ["2-s-lambda-11a1", "3-zhat-11a1", "6a-f-infinity-11", "7-theorem-n11",
+             "9-poincare-reconstruction", "11-beta-vanishing"],
+    "27a1": ["1-newform-27a1", "4-zhat-cm-rationals", "5-eta-derivative", "6b-f-infinity-27",
+             "6c-f-infinity-27-adjudication", "8-theorem-n27", "11-beta-vanishing"],
+    "32a1": ["4-zhat-cm-rationals", "5-eta-derivative"],
+    "36a1": ["4-zhat-cm-rationals", "5-eta-derivative"],
+    "49a1": ["12-n49-experiment"],
+}
+
+
+@pytest.mark.parametrize("label", [None, *LABELS])
+def test_label_filter_selects_the_checks_of_each_curve(label):
+    """The label filter alone, without running a check: ids unique, in the order 1 .. 12."""
+    ids = [c.check_id for c in V.CHECKS]
+    assert ids == ALL_IDS
+    assert len(set(ids)) == len(ids)
+    numbers = [int(i.split("-")[0].rstrip("abcde")) for i in ids]
+    assert numbers == sorted(numbers) and set(numbers) == set(range(1, 13))
+    want = ALL_IDS if label is None else [
+        i for i in ALL_IDS if i in PROPERTY_IDS or i in LABEL_IDS.get(label, [])]
+    assert [c.check_id for c in V.selected(None if label is None else [label])] == want
+
+
+def test_run_check_refuses_a_check_the_labels_do_not_select():
+    with pytest.raises(KeyError):
+        V.run_check("1-newform-27a1", CFG, ["11a1"])

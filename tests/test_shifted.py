@@ -6,8 +6,7 @@ from mpmath import mp, mpf
 from shiftedconv.config import Estimate
 from shiftedconv.curves import LABELS, get_curve
 from shiftedconv.shifted import (affine_parts, alpha_constant, beta_fit, d_direct, d_direct_table,
-                                 hol_projection_hat, l_series_closed_form,
-                                 support_modulus)
+                                 hol_projection_hat, l_series_closed_form)
 
 N_TERMS = 100_000
 
@@ -16,14 +15,6 @@ N_TERMS = 100_000
 def _dps():
     with mp.workdps(64):
         yield
-
-
-def test_support_modulus():
-    assert support_modulus(27) == 3
-    assert support_modulus(32) == 4
-    assert support_modulus(36) == 6
-    assert support_modulus(11) is None
-    assert support_modulus(49) is None
 
 
 def test_direct_11a1_reference_values():
