@@ -3,7 +3,7 @@
 from .config import Estimate, PrecisionConfig
 from .curves import EllipticCurveModel, load_registry, get_curve
 from .eisenstein import enumerate_cusps, indicator_basis, infinity_indicator
-from .lattice import Lattice, build_lattice, compute_periods
+from .lattice import Lattice, build_lattice
 from .mockform import zhat_plus, eta_quotient
 from .newform import an_coefficients, ap_point_count, eichler_integral
 from .poincare import bp_coefficient, bq_coefficient
@@ -14,7 +14,7 @@ from .shifted import (ShiftedConvolutionTable, d_direct, l_series_closed_form,
 __all__ = [
     "Estimate", "PrecisionConfig", "EllipticCurveModel", "load_registry", "get_curve",
     "enumerate_cusps", "indicator_basis", "infinity_indicator",
-    "Lattice", "build_lattice", "compute_periods",
+    "Lattice", "build_lattice",
     "zhat_plus", "eta_quotient",
     "an_coefficients", "ap_point_count", "eichler_integral",
     "bp_coefficient", "bq_coefficient",

@@ -50,7 +50,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .config import memo
-from .newform import _factors
+from .newform import _divisor_sums, _factors
 from .series import FourierSeries
 
 
@@ -382,16 +382,13 @@ def infinity_indicator(N: int, n_max: int) -> FourierSeries:
 
     It is prod over p^e || N of (p^2 E2(p^e z) - E2(p^(e-1) z))/(p^2 - 1), the product
     multiplying dilations, E2(d z) E2(d' z) -> E2(d d' z).  The weights of the E2(d z)
-    sum to 1, and E2(d z) = 1 - 24 sum sigma_1(n) q^(d n) with sigma_1 from one sieve.
+    sum to 1, and E2(d z) = 1 - 24 sum sigma_1(n) q^(d n) with sigma_1 from `_divisor_sums`.
     """
     weights = {1: Fraction(1)}
     for p, e in _factors(N):
         local = {p ** e: Fraction(p * p, p * p - 1), p ** (e - 1): Fraction(-1, p * p - 1)}
         weights = {d * d2: w * w2 for d, w in weights.items() for d2, w2 in local.items()}
-    sigma1 = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        for n in range(d, n_max + 1, d):
-            sigma1[n] += d
+    sigma1 = _divisor_sums(n_max, 1)
     coeffs = {0: 1}
     for d, w in weights.items():
         for n in range(1, n_max // d + 1):

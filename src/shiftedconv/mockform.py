@@ -73,7 +73,7 @@ def s_value(model: EllipticCurveModel, digits: int):
     Zhat^+ has no q^1 term and E = q + ... (R[1] = 0, 0, 0, 1/4 at N = 27, 32, 36, 49).
     A lattice S farther than 10^-digits from it raises ArithmeticError.
 
-    At 27, 32 and 36, S = 0.  From `lattice.s_lambda`, S = (pi^2/3) E2*(tau)/omega1^2 with
+    At 27, 32 and 36, S = 0.  From `Lattice.s_lambda`, S = (pi^2/3) E2*(tau)/omega1^2 with
     E2*(tau) = E2(tau) - 3/(pi Im tau), which has weight 2 under SL2(Z).  So E2* vanishes
     at the fixed points i (E2*(-1/i) = i^2 E2*(i)) and rho = e^(2 pi i/3), and on their
     orbits.  j = c4^3/Delta is 1728 at 32a1 and 0 at 27a1 and 36a1, so tau lies on one.
@@ -91,11 +91,11 @@ def s_value(model: EllipticCurveModel, digits: int):
 
 
 @memo
-def zhat_plus(model: EllipticCurveModel, n_max: int, precision: int) -> FourierSeries:
+def zhat_plus(model: EllipticCurveModel, n_max: int, digits: int) -> FourierSeries:
     """q-expansion q^-1 + c0 + c1 q + ... of the mock modular form, truncated past q^{n_max}."""
     r, e = mock_parts(model, n_max)
-    with mp.workdps(precision + 10):
-        return r.to_mp() - e.to_mp() * s_value(model, precision)
+    with mp.workdps(digits + 10):
+        return r.to_mp() - e.to_mp() * s_value(model, digits)
 
 
 def eta_unit(m: int, rel_truncation) -> FourierSeries:

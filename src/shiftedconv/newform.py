@@ -25,6 +25,16 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
     return spf
 
 
+def _divisor_sums(n_max: int, j: int) -> list:
+    """[sigma_j(0) = 0, sigma_j(1), ..., sigma_j(n_max)] from one divisor sieve."""
+    sums = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        power = d ** j
+        for m in range(d, n_max + 1, d):
+            sums[m] += power
+    return sums
+
+
 def _factors(c: int) -> list[tuple[int, int]]:
     """(p, e) for each prime power p^e exactly dividing c, p ascending, by trial division."""
     out, rest, p = [], c, 2

@@ -6,6 +6,8 @@ The tabulated -12 is an erratum: the unique indicator is -(1/8) E2(9z) + (9/8) E
 (6c) shows that the closed form built on -12 misses D(27;1) by about 2.6.
 """
 
+import itertools
+
 import pytest
 from mpmath import mp
 
@@ -207,3 +209,19 @@ def test_label_filter_selects_the_checks_of_each_curve(label):
 def test_run_check_refuses_a_check_the_labels_do_not_select():
     with pytest.raises(KeyError):
         V.run_check("1-newform-27a1", CFG, ["11a1"])
+
+
+def test_a_bounded_check_shows_its_bound_and_fails_past_it(monkeypatch):
+    """Checks 1, 2, 7 and 9 have a runtime bound, which their details show as `bound_s`; a
+    run that takes longer fails."""
+    assert {c.check_id: c.bound_s for c in V.CHECKS if c.bound_s is not None} == {
+        "1-newform-27a1": 1.0, "2-s-lambda-11a1": 10.0, "7-theorem-n11": 120.0,
+        "9-poincare-reconstruction": 60.0}
+    on_time = V.run_check("1-newform-27a1", CFG)
+    assert on_time.passed and on_time.details["bound_s"] == "1.0"
+    assert "bound_s" not in V.run_check("10d-cusp-counts", CFG).details
+    clock = itertools.count(0.0, 5.0)  # every reading 5 s after the one before
+    monkeypatch.setattr(V.time, "time", lambda: next(clock))
+    late = V.run_check("1-newform-27a1", CFG)
+    assert not late.passed and late.runtime_s == 5.0
+    assert late.details == on_time.details

@@ -1,11 +1,12 @@
+import dataclasses
+
 import pytest
 from mpmath import mp, mpf, mpc
 
 from shiftedconv.curves import get_curve, load_registry
 import shiftedconv.lattice as L
 from shiftedconv.lattice import (Lattice, LatticeError, _e_k, _reduce_basis, _term_count,
-                                 _two_division_values, build_lattice, compute_periods,
-                                 quasi_periods, s_lambda)
+                                 _two_division_values, build_lattice)
 
 from g_oracle import eisenstein_numbers, g_numbers
 from lambert_oracle import _e_k as lambert_e_k
@@ -13,16 +14,33 @@ from zeta_oracle import (RADIUS_RATIO, _wp_and_derivative, _zeta_series, laurent
                          weierstrass_zeta)
 
 
-def lattice_from_generators(omega1, omega2, precision_digits: int) -> Lattice:
-    """Lattice from explicit generators (no curve attached)."""
-    with mp.workdps(precision_digits + 20):
+def lattice_from_generators(omega1, omega2, digits: int) -> Lattice:
+    """Lattice from explicit generators (no curve attached), without quasi-periods: the
+    Eisenstein oracle reads only the generators."""
+    with mp.workdps(digits + 20):
         o1, o2 = mpc(omega1), mpc(omega2)
         if (o2 / o1).imag < 0:
             o1, o2 = o2, o1
         o1, o2 = _reduce_basis(o1, o2)
         tau = o2 / o1
         volume = abs((mp.conj(o1) * o2).imag)
-    return Lattice(o1, o2, tau, volume, precision_digits=precision_digits)
+    return Lattice(o1, o2, tau, volume, eta1=None, eta2=None, s_lambda=None)
+
+
+def perturbed_e_k(monkeypatch, k, delta, call=None):
+    """Make `lattice._e_k` add `delta` to E_k: at every evaluation, or at the `call`-th
+    evaluation of E_k only (the second E2 is the one at -1/tau)."""
+    calls = []
+
+    def e_k(kk, tau):
+        value = _e_k(kk, tau)
+        if kk == k:
+            calls.append(tau)
+            if call is None or len(calls) == call:
+                value += delta
+        return value
+
+    monkeypatch.setattr(L, "_e_k", e_k)
 
 
 def short_invariants(model):
@@ -66,7 +84,7 @@ ORACLE_OMEGA1 = {
 @pytest.mark.parametrize("label", sorted(ORACLE_OMEGA1))
 def test_agm_periods_against_integration_oracle(label):
     model = get_curve(label)
-    lat = compute_periods(model, 60)
+    lat = build_lattice(model, 60)
     with mp.workdps(60):
         want = mpf(ORACLE_OMEGA1[label])
         live = integration_period(model, 110)
@@ -107,14 +125,26 @@ def test_quasi_periods_against_zeta_series_oracle():
 
 
 def test_square_lattice_classics():
-    lat = lattice_from_generators(1, mpc(0, 1), 48)
-    eta1, eta2 = quasi_periods(lat)
+    """32a1 has j = 1728, so its lattice is square: tau = i, eta1 omega1 = pi, S = 0, G_6 = 0."""
+    lat = build_lattice(get_curve("32a1"), 48)
     with mp.workdps(58):
-        assert abs(eta1 - mp.pi) < mpf(10) ** -45
-        assert abs(s_lambda(lat)) < mpf(10) ** -45
+        assert abs(lat.tau - mpc(0, 1)) < mpf(10) ** -45
+        assert abs(lat.eta1 * lat.omega1 - mp.pi) < mpf(10) ** -45
+        assert abs(lat.s_lambda) < mpf(10) ** -45
         g4, g6 = eisenstein_numbers(lat, 6)
         assert abs(g6) < mpf(10) ** -45
         assert abs(g4) > mpf("0.1")
+
+
+def test_cached_lattice_is_frozen():
+    """Assigning any field of a cached lattice raises (at digits no other test builds at,
+    so a lattice that let the assignment through would corrupt no other test)."""
+    lat = build_lattice(get_curve("11a1"), 59)
+    s = lat.s_lambda
+    for field in dataclasses.fields(Lattice):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lat, field.name, mpc(0))
+    assert build_lattice(get_curve("11a1"), 59) is lat and lat.s_lambda is s
 
 
 def test_weight_scaling_of_eisenstein_numbers():
@@ -222,19 +252,53 @@ def test_zeta_duplication_consistency():
 
 def test_precondition_on_digits():
     with pytest.raises(ValueError):
-        compute_periods(get_curve("11a1"), 10)
+        build_lattice(get_curve("11a1"), 10)
 
 
-def test_quasi_periods_legendre_check_is_live():
-    """A stored tau off omega2/omega1 by 1e-20 breaks the Legendre relation and raises."""
-    lat = compute_periods(get_curve("14a1"), 40)
-    with mp.workdps(60):
-        bad = Lattice(lat.omega1, lat.omega2, lat.tau + mpf("1e-20"), lat.volume,
-                      precision_digits=40)
+# The builds under a perturbed _e_k below use digits that no other test builds at, so the
+# memo cannot serve them an earlier lattice; each build raises, so none is cached.
+
+def test_g2_g3_reproduction_check_is_live(monkeypatch):
+    """E4 off by 1e-30 no longer reproduces g2 to 10^-(digits+5) and raises."""
+    perturbed_e_k(monkeypatch, 4, mpf("1e-30"))
+    with pytest.raises(LatticeError, match="g2/g3"):
+        build_lattice(get_curve("11a1"), 41)
+
+
+def test_quasi_periods_legendre_check_is_live(monkeypatch):
+    """E2 off by 1e-20 breaks the Legendre relation and raises; unperturbed, the same build
+    passes."""
+    with monkeypatch.context() as patch:
+        perturbed_e_k(patch, 2, mpf("1e-20"))
+        with pytest.raises(LatticeError, match="Legendre"):
+            build_lattice(get_curve("14a1"), 43)
+    lat = build_lattice(get_curve("14a1"), 43)
+    with mp.workdps(58):
+        assert abs(lat.omega1 * lat.eta2 - lat.omega2 * lat.eta1 + 2 * mp.pi * mpc(0, 1)) < mpf(10) ** -33
+
+
+def test_eta2_cross_check_is_the_legendre_check_over_omega1(monkeypatch):
+    """The eta2 cross-check cannot raise once the Legendre check has passed.
+
+    With c = pi/vol and vol = Im(conj(omega1) omega2), omega1 (eta2 - S omega2 - c conj(omega2))
+    = omega1 eta2 - omega2 eta1 + 2 pi i, so the cross-check residual is the Legendre residual
+    over |omega1|.  Its tolerance 10^-(digits-12) (1 + |eta2|) times |omega1| exceeds the
+    Legendre tolerance 10^-(digits-10) at every curve, so an E2 at -1/tau perturbed past the
+    cross-check's tolerance trips the Legendre check first."""
+    for m in load_registry():
+        lat = build_lattice(m, 64)
+        with mp.workdps(79):
+            eta2 = lat.eta2 + mpc("1e-40", "1e-40")
+            cross = abs(eta2 - (lat.s_lambda * lat.omega2 + mp.pi / lat.volume * mp.conj(lat.omega2)))
+            legendre = abs(lat.omega1 * eta2 - lat.omega2 * lat.eta1 + 2 * mp.pi * mpc(0, 1))
+            assert abs(abs(lat.omega1) * cross - legendre) < mpf(10) ** -70, m.label
+            assert 100 * abs(lat.omega1) * (1 + abs(lat.eta2)) > 1, m.label
+    lat, digits = build_lattice(get_curve("11a1"), 64), 47
+    # E2(-1/tau) off by delta moves eta2 by (pi^2/3) delta / omega2: ten cross-check tolerances
+    delta = 10 * mpf(10) ** -(digits - 12) * (1 + abs(lat.eta2)) * abs(lat.omega2) * 3 / mp.pi ** 2
+    perturbed_e_k(monkeypatch, 2, delta, call=2)
     with pytest.raises(LatticeError, match="Legendre"):
-        quasi_periods(bad)
-    eta1, eta2 = quasi_periods(lat)
-    assert eta1 is not None and eta2 is not None
+        build_lattice(get_curve("11a1"), digits)
 
 
 @pytest.mark.parametrize("digits", [64, 80])
