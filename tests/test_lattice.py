@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -30,13 +31,13 @@ def lattice_from_generators(omega1, omega2, digits: int) -> Lattice:
 def perturbed_e_k(monkeypatch, k, delta, call=None):
     """Make `lattice._e_k` add `delta` to E_k: at every evaluation, or at the `call`-th
     evaluation of E_k only (the second E2 is the one at -1/tau)."""
-    calls = []
+    count = itertools.count(1)
 
     def e_k(kk, tau):
         value = _e_k(kk, tau)
         if kk == k:
-            calls.append(tau)
-            if call is None or len(calls) == call:
+            n = next(count)
+            if call is None or n == call:
                 value += delta
         return value
 
