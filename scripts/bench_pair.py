@@ -10,12 +10,15 @@ goes first.  Both revisions are exported with `git archive` into fresh
 temporary directories, removed afterwards, so that neither side runs with the build
 leftovers of a working tree: bytecode caches alone moved `lseries` op_s by 12% between
 two copies of one commit.  The output file holds, per workload and side, every run's
-end-to-end metrics, `attempted`, `failed`, `correct`, its peak-RSS op and the median
-op time of each op kind (the first word of an op's key, as `mockform` in
-`mockform 11a1`), read from the run's result file; the median and quartiles of each
-metric and the median over runs of each kind's op time; and per metric the number of
-pairs in which the change did better and the median and quartiles of the paired
-differences, change minus parent.
+end-to-end metrics, `attempted`, `failed`, `correct`, its peak-RSS op, and per op kind
+(the first word of an op's key, as `mockform` in `mockform 11a1`) the median op time
+(`op_s_by_kind`, t_done - t_ready) and the median whole-process wall of an op
+(`wall_s_by_kind`, t_exit - t_spawn), read from the run's result file; the median and
+quartiles of each metric and the median over runs of each kind's op time and wall; and
+per metric the number of pairs in which the change did better and the median and
+quartiles of the paired differences, change minus parent.  A fall in op time that
+leaves the wall in place shows as `op_s_by_kind` falling while `wall_s_by_kind` does
+not, and `attempted` shows how many whole cycles a run held.
 
 The pseudo-workload `e2e=K` times instead, per seed and side, the three end-to-end
 figures of ROADMAP aim 1, one after the other in the exported tree with `src` on
@@ -58,7 +61,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in `tree`: its result line plus the op with the peak RSS."""
+    """One benchmark run in `tree`: its result line, the op with the peak RSS and the
+    median op time and wall of each op kind."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     if args[0] == "python3":
@@ -72,16 +76,19 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float
     detail = json.loads((tree / "benchmark" / "results" /
                          f"{workload}-seed{seed}-trace0.json").read_text())
     peak = max(detail["ops"], key=lambda op: op.get("rss_mb", 0))
-    kinds = {}
+    kinds, walls = {}, {}
     for op in detail["ops"]:
+        kind = op["op"].split()[0]
+        walls.setdefault(kind, []).append(op["t_exit"] - op["t_spawn"])
         if "t_done" in op:
-            kinds.setdefault(op["op"].split()[0], []).append(op["t_done"] - op["t_ready"])
+            kinds.setdefault(kind, []).append(op["t_done"] - op["t_ready"])
     return {"seed": seed,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"],
             "peak_rss_op": {"op": peak["op"], "rss_mb": peak["rss_mb"]},
-            "op_s_by_kind": {kind: statistics.median(t) for kind, t in sorted(kinds.items())}}
+            "op_s_by_kind": {kind: statistics.median(t) for kind, t in sorted(kinds.items())},
+            "wall_s_by_kind": {kind: statistics.median(t) for kind, t in sorted(walls.items())}}
 
 
 E2E = {"tier1_s": ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
@@ -105,7 +112,7 @@ def run_e2e(tree: Path, seed: int) -> dict:
             summary_line = (proc.stdout.strip().splitlines() or [""])[-1]
     return {"seed": seed, "metrics": metrics, "attempted": len(E2E),
             "failed": sum(code != 0 for code in codes.values()), "exit_codes": codes,
-            "tier1_summary": summary_line, "op_s_by_kind": {}}
+            "tier1_summary": summary_line, "op_s_by_kind": {}, "wall_s_by_kind": {}}
 
 
 def quartiles(values: list) -> dict:
@@ -117,10 +124,11 @@ def quartiles(values: list) -> dict:
 
 def summary(runs: list) -> dict:
     out = {name: quartiles([run["metrics"][name] for run in runs]) for name in runs[0]["metrics"]}
-    kinds = sorted({kind for run in runs for kind in run["op_s_by_kind"]})
-    out["op_s_by_kind"] = {kind: statistics.median(run["op_s_by_kind"][kind] for run in runs
-                                                   if kind in run["op_s_by_kind"])
-                           for kind in kinds}
+    for by_kind in ("op_s_by_kind", "wall_s_by_kind"):
+        kinds = sorted({kind for run in runs for kind in run[by_kind]})
+        out[by_kind] = {kind: statistics.median(run[by_kind][kind] for run in runs
+                                                if kind in run[by_kind])
+                        for kind in kinds}
     return out
 
 

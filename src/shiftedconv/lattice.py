@@ -137,7 +137,8 @@ def build_lattice(model: EllipticCurveModel, digits: int) -> Lattice:
     eta(omega) = (pi^2/3) E2(omega'/omega) / omega for an oriented basis (omega, omega'):
     eta1 from (omega1, omega2) at tau, eta2 from (omega2, -omega1) at -1/tau, checked by
     the Legendre relation; S from eta1 = S omega1 + (pi/vol) conj(omega1), cross-checked
-    on omega2.  A failed check raises LatticeError.
+    on omega2.  A failed check raises LatticeError; each is written `not x <= tol`, so a
+    NaN fails it.
     """
     if digits < 30:
         raise ValueError("digits must be >= 30")
@@ -161,18 +162,18 @@ def build_lattice(model: EllipticCurveModel, digits: int) -> Lattice:
         g4 = mp.pi ** 4 / 45 * _e_k(4, tau) / omega1 ** 4
         g6 = 2 * mp.pi ** 6 / 945 * _e_k(6, tau) / omega1 ** 6
         err = max(abs(60 * g4 - g2), abs(140 * g6 - g3)) / max(abs(g2), abs(g3), mpf(1))
-        if err > mpf(10) ** (-(digits + 5)):
+        if not err <= mpf(10) ** (-(digits + 5)):
             raise LatticeError(f"{model.label}: lattice fails to reproduce g2/g3 (rel err {err})")
     with mp.workdps(digits + 15):
         c = mp.pi ** 2 / 3
         eta1 = c * _e_k(2, tau) / omega1
         eta2 = c * _e_k(2, -1 / tau) / omega2
         resid = abs(omega1 * eta2 - omega2 * eta1 + 2 * mp.pi * mpc(0, 1))
-        if resid > mpf(10) ** (-(digits - 10)):
+        if not resid <= mpf(10) ** (-(digits - 10)):
             raise LatticeError(f"Legendre relation residual too large: {resid}")
         c = mp.pi / volume
         s = (eta1 - c * mp.conj(omega1)) / omega1
         resid = abs(eta2 - (s * omega2 + c * mp.conj(omega2)))
-        if resid > mpf(10) ** (-(digits - 12)) * (1 + abs(eta2)):
+        if not resid <= mpf(10) ** (-(digits - 12)) * (1 + abs(eta2)):
             raise LatticeError(f"quasi-period relations inconsistent: {resid}")
     return Lattice(omega1, omega2, tau, volume, eta1, eta2, s)

@@ -35,16 +35,14 @@ def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> Estimate:
     The series converges only conditionally, so the value is the mean of the partial
     sums over the last decade [n_terms/10, n_terms] and the error half their spread.
     When the two coefficient supports are incompatible every term vanishes and the
-    result is exactly zero.
+    result is exactly zero.  The sum reads a(n) for n <= n_terms + h and the table is
+    built to exactly that length.
     """
     if h < 1:
         raise ValueError("shift must be positive")
     if n_terms < 10:
         raise ValueError("n_terms must be >= 10, or the last decade holds one partial sum")
-    # bucketed by 4096 so an h-sweep, and a later read of n_terms + 4096 entries,
-    # find the a(n) prefix already built
-    table_len = n_terms + 4096 * (1 + (h - 1) // 4096)
-    a = an_array(model, table_len)
+    a = an_array(model, n_terms + h)
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     prod = a[n + h] * a[n]
     if not prod.any():
@@ -54,6 +52,9 @@ def d_direct(model: EllipticCurveModel, h: int, n_terms: int) -> Estimate:
 
 
 def d_direct_table(model: EllipticCurveModel, h_max: int, n_terms: int) -> ShiftedConvolutionTable:
+    """`d_direct` at h = 1 .. h_max.  The sweep reads a(n) for n <= n_terms + h_max, and
+    builds that table once, before its first shift."""
+    an_array(model, n_terms + h_max)
     tab = ShiftedConvolutionTable(model.label, "direct",
                                   metadata={"n_terms": n_terms, "smoothing": "cesaro-last-decade"})
     for h in range(1, h_max + 1):

@@ -21,7 +21,8 @@ from .lattice import build_lattice
 from .mockform import eta_derivative_deviation, eta_quotient, mock_parts, s_value, zhat_plus
 from .newform import an_coefficients, an_array, _factors, _smallest_prime_factors
 from .poincare import bp_coefficient
-from .shifted import alpha_constant, alpha_fitted, beta_fit, d_direct, l_series_closed_form
+from .shifted import (alpha_constant, alpha_fitted, beta_fit, d_direct, d_direct_table,
+                      l_series_closed_form)
 
 
 @dataclass
@@ -206,11 +207,11 @@ def check_f_infinity_27_adjudication(cfg, labels):
         bound_s=120.0)
 def check_theorem_11(cfg, labels):
     model = get_curve("11a1")
+    direct = d_direct_table(model, 5, cfg.direct_terms)
     alpha = alpha_constant(model, cfg.direct_terms, cfg.digits)
     tab = l_series_closed_form(model, 5, cfg.digits, cfg.direct_terms, alpha=alpha)
     dev_ref = max(abs(tab.entries[h + 1] - mpf(REF_L11_CLOSED[h])) for h in range(5))
-    dev_direct = max(abs(float(tab.entries[h]) - d_direct(model, h, cfg.direct_terms).value)
-                     for h in range(1, 6))
+    dev_direct = max(abs(float(tab.entries[h]) - direct.entries[h]) for h in range(1, 6))
     dev_alpha = abs(alpha - mpf("0.00159"))
     return (dev_ref <= mpf("3e-3") and dev_direct <= 0.02 and dev_alpha <= mpf("2e-3"),
             {"dev_vs_reference": fmt(dev_ref, 3), "dev_vs_direct": fmt(dev_direct, 3),
@@ -366,15 +367,13 @@ def check_beta_vanishing(cfg, labels):
 def check_n49_experiment(cfg, labels):
     """Non-gating: reports the fitted alpha and the closed-vs-direct residuals."""
     model = get_curve("49a1")
+    direct = d_direct_table(model, 12, cfg.direct_terms)
     af = alpha_fitted(model, cfg.direct_terms, cfg.digits)
     tab0 = l_series_closed_form(model, 12, cfg.digits, alpha=mpf(0))
     tabf = l_series_closed_form(model, 12, cfg.digits, alpha=af)
-    resid0, residf, direct_err = 0.0, 0.0, 0.0
-    for h in range(1, 13):
-        dv = d_direct(model, h, cfg.direct_terms)
-        resid0 = max(resid0, abs(float(tab0.entries[h]) - dv.value))
-        residf = max(residf, abs(float(tabf.entries[h]) - dv.value))
-        direct_err = max(direct_err, dv.err)
+    resid0 = max(abs(float(tab0.entries[h]) - direct.entries[h]) for h in range(1, 13))
+    residf = max(abs(float(tabf.entries[h]) - direct.entries[h]) for h in range(1, 13))
+    direct_err = max(direct.errors.values())
     return True, {"alpha_fitted": fmt(af, 6),
                   "max_residual_alpha_zero": fmt(resid0, 12),
                   "max_residual_alpha_fitted": fmt(residf, 12),

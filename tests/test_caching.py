@@ -11,8 +11,8 @@ import shiftedconv.newform
 from shiftedconv.eisenstein import basis_for_level, indicator_basis
 from shiftedconv.lattice import build_lattice
 from shiftedconv.mockform import zhat_plus
-from shiftedconv.newform import _an_table, an_array
-from shiftedconv.shifted import l_series_closed_form
+from shiftedconv.newform import _an_table, _CoefficientTable, an_array
+from shiftedconv.shifted import d_direct, d_direct_table, l_series_closed_form
 
 
 def test_curve_file_model_under_a_builtin_label_gets_its_own_lattice():
@@ -81,6 +81,31 @@ def test_an_table_serves_prefixes_and_counts_each_prime_once(monkeypatch):
     assert np.array_equal(first, full[:1_001]) and np.array_equal(short, full[:501])
     one_shot = an_array(replace(builtin, label="11a1 (one-shot)"), 20_000)
     assert np.array_equal(full, one_shot)
+
+
+def test_direct_sweep_builds_exactly_the_entries_it_reads_in_one_grow(monkeypatch):
+    """D(h; 1) at n_terms reads a(n) for n <= n_terms + h, so a sweep to h_max builds
+    a(0 .. n_terms + h_max) in one grow and counts points only up to there."""
+    model = replace(get_curve("11a1"), label="11a1 (sweep test)")   # a fresh cache key
+    counted, grows = [], []
+    point_count, grow = shiftedconv.newform.ap_point_count, _CoefficientTable._grow
+
+    def counting(m, p):
+        counted.append(p)
+        return point_count(m, p)
+
+    def counting_grow(table, n_max):
+        grows.append(n_max)
+        grow(table, n_max)
+
+    monkeypatch.setattr(shiftedconv.newform, "ap_point_count", counting)
+    monkeypatch.setattr(_CoefficientTable, "_grow", counting_grow)
+    d_direct_table(model, 30, 15_000)
+    primes = [p for p in range(2, 15_031) if all(p % d for d in range(2, isqrt(p) + 1))]
+    assert len(_an_table(model).a) == 15_031 and grows == [15_030]
+    assert counted == primes
+    d_direct(model, 31, 15_000)
+    assert len(_an_table(model).a) == 15_032 and grows == [15_030, 15_031]
 
 
 def test_closed_form_builds_no_eisenstein_basis():

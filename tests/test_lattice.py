@@ -278,6 +278,19 @@ def test_quasi_periods_legendre_check_is_live(monkeypatch):
         assert abs(lat.omega1 * lat.eta2 - lat.omega2 * lat.eta1 + 2 * mp.pi * mpc(0, 1)) < mpf(10) ** -33
 
 
+def test_nan_e4_fails_the_g2_g3_check(monkeypatch):
+    """A NaN compares false with every tolerance, so it must fail the check, not pass it."""
+    perturbed_e_k(monkeypatch, 4, mp.nan)
+    with pytest.raises(LatticeError, match="g2/g3"):
+        build_lattice(get_curve("11a1"), 44)
+
+
+def test_nan_e2_fails_the_legendre_check(monkeypatch):
+    perturbed_e_k(monkeypatch, 2, mp.nan)
+    with pytest.raises(LatticeError, match="Legendre"):
+        build_lattice(get_curve("11a1"), 45)
+
+
 def test_eta2_cross_check_is_the_legendre_check_over_omega1(monkeypatch):
     """The eta2 cross-check cannot raise once the Legendre check has passed.
 
